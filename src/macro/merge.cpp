@@ -19,6 +19,9 @@ obs::Counter& g_pins_removed = obs::counter("merge.pins_removed");
 obs::Counter& g_serial_arcs = obs::counter("merge.serial_arcs_created");
 obs::Counter& g_parallel_arcs = obs::counter("merge.parallel_arcs_merged");
 obs::Counter& g_refused = obs::counter("merge.refused");
+obs::Counter& g_refused_fan = obs::counter("merge.refused.fan_limit");
+obs::Counter& g_refused_launch = obs::counter("merge.refused.launch_adjacent");
+obs::Counter& g_refused_size = obs::counter("merge.refused.size_growth");
 
 /// Parallel-duplicate identity of a delay arc: same endpoints *and the
 /// same unateness* (enveloping arcs of different senses would conflate
@@ -310,16 +313,8 @@ void materialize_chain(TimingGraph& g, ArcId id, const Chain& chain,
   }
 }
 
-}  // namespace
-
-namespace size_model {
-
-/// Approximate serialized-storage cost of an arc, in doubles.
-std::size_t arc_cost(const TimingGraph& g, ArcId a,
-                     const std::unordered_map<ArcId, Chain>& chains,
-                     std::size_t max_points);
-
-/// Cost a chain will have once materialized.
+/// Approximate serialized-storage cost of a chain once materialized, in
+/// doubles.
 std::size_t chain_cost(const Chain& chain, std::size_t max_points) {
   const std::size_t mp = std::max<std::size_t>(2, max_points);
   const bool twod = arc_load_dependent(chain.back().arc);
@@ -329,8 +324,12 @@ std::size_t chain_cost(const Chain& chain, std::size_t max_points) {
   return chain_sense(chain) == ArcSense::kNonUnate ? 2 * cost : cost;
 }
 
-std::size_t arc_cost(const TimingGraph& g, ArcId a,
-                     const std::unordered_map<ArcId, Chain>& chains,
+/// Chains backing the arcs spliced so far in one merge; primitive arcs
+/// have no entry.
+using ChainMap = std::unordered_map<ArcId, Chain>;
+
+/// Approximate serialized-storage cost of an arc, in doubles.
+std::size_t arc_cost(const TimingGraph& g, ArcId a, const ChainMap& chains,
                      std::size_t max_points) {
   auto it = chains.find(a);
   if (it != chains.end()) return chain_cost(it->second, max_points);
@@ -344,21 +343,193 @@ std::size_t arc_cost(const TimingGraph& g, ArcId a,
   return cost;
 }
 
-}  // namespace size_model
+/// The chain arc `a` stands for: its spliced chain, or the primitive arc.
+Chain chain_of(const TimingGraph& g, const ChainMap& chains, ArcId a) {
+  auto it = chains.find(a);
+  if (it != chains.end()) return it->second;
+  const GraphArc& arc = g.arc(a);
+  return Chain{{arc, g.node(arc.to).static_load_ff,
+                g.node(arc.from).aocv_depth}};
+}
+
+/// Chain of the spliced (ia, oa) arc: ia's chain followed by oa's.
+Chain spliced_chain(const TimingGraph& g, const ChainMap& chains, ArcId ia,
+                    ArcId oa) {
+  Chain merged = chain_of(g, chains, ia);
+  const Chain tail = chain_of(g, chains, oa);
+  merged.insert(merged.end(), tail.begin(), tail.end());
+  return merged;
+}
+
+enum class Refusal : std::uint8_t {
+  kNone,
+  kFanLimit,
+  kLaunchAdjacent,
+  kSizeGrowth,
+};
+
+/// Why a statically legal pin with live in/out arcs `fin`/`fout` may not
+/// be merged — the one refusal rule of every merge path.
+Refusal refusal(const TimingGraph& g, const std::vector<ArcId>& fin,
+                const std::vector<ArcId>& fout, const ChainMap& chains,
+                const MergeConfig& cfg) {
+  if (fin.empty() || fout.empty()) return Refusal::kNone;  // droppable
+  if ((cfg.single_fanin_only && fin.size() > 1) ||
+      fin.size() * fout.size() > cfg.max_fan_product)
+    return Refusal::kFanLimit;
+  for (ArcId a : fin)
+    if (g.arc(a).is_launch) return Refusal::kLaunchAdjacent;
+  for (ArcId a : fout)
+    if (g.arc(a).is_launch) return Refusal::kLaunchAdjacent;
+  // Removing the pin must not grow the model: compare the storage of the
+  // incident arcs against the spliced chain arcs (merging a high-fanout
+  // pin would duplicate its fanin surface per sink).
+  const std::size_t mp = cfg.index.max_points;
+  std::size_t before = 24;  // node record itself
+  for (ArcId a : fin) before += arc_cost(g, a, chains, mp);
+  for (ArcId a : fout) before += arc_cost(g, a, chains, mp);
+  std::size_t after = 0;
+  for (ArcId ia : fin)
+    for (ArcId oa : fout)
+      after += chain_cost(spliced_chain(g, chains, ia, oa), mp);
+  return after > before ? Refusal::kSizeGrowth : Refusal::kNone;
+}
+
+/// (from, to, sense) key -> representative live non-launch arc.
+using KeyIndex = std::unordered_map<std::uint64_t, ArcId>;
+
+/// One merge in progress, shared by the full merge and MergeDelta: pins
+/// are removed one merge_pin() at a time, then every surviving chain is
+/// materialized once and parallel duplicates are folded. `delta` selects
+/// the graph's cache-preserving delta_* mutators over the plain ones;
+/// either way the mutation sequence (and so every arc id and table) is
+/// the same.
+struct Merger {
+  Merger(TimingGraph& graph, const MergeConfig& config, bool use_delta)
+      : g(graph), cfg(config), delta(use_delta), base_arcs(g.num_arcs()) {}
+
+  TimingGraph& g;
+  const MergeConfig& cfg;
+  const bool delta;
+  const std::size_t base_arcs;  ///< arcs before this merge
+  ChainMap chains;
+  /// Arcs below base_arcs this merge killed (MergeDelta's undo log).
+  std::vector<ArcId> killed;
+
+  void kill(ArcId a) {
+    if (delta) {
+      g.delta_kill_arc(a);
+      if (a < base_arcs) killed.push_back(a);
+    } else {
+      g.kill_arc(a);
+    }
+    chains.erase(a);
+  }
+
+  ArcId add_arc(NodeId from, NodeId to, ArcSense sense, const ElRf<Lut>* dt,
+                const ElRf<Lut>* st) {
+    return delta ? g.delta_add_cell_arc(from, to, sense, dt, st, false)
+                 : g.add_cell_arc(from, to, sense, dt, st, false);
+  }
+
+  /// Remove statically legal pin `n` unless refused: splice a chain arc
+  /// for every (fin, fout) pair in list order (the order fixes arc-id
+  /// allocation), kill the pin's arcs and mark it dead. `fin`/`fout` are
+  /// n's live arcs and must not alias the graph's cached adjacency. With
+  /// `adj` (plain mutation only), keeps that adjacency in step.
+  Refusal merge_pin(NodeId n, const std::vector<ArcId>& fin,
+                    const std::vector<ArcId>& fout, LocalAdjacency* adj) {
+    const Refusal why = refusal(g, fin, fout, chains, cfg);
+    if (why != Refusal::kNone) return why;
+    // Tables are materialized once, after all merging settles.
+    for (ArcId ia : fin) {
+      for (ArcId oa : fout) {
+        const NodeId from = g.arc(ia).from;
+        const NodeId to = g.arc(oa).to;
+        Chain merged = spliced_chain(g, chains, ia, oa);
+        const ArcId na = add_arc(from, to, chain_sense(merged), nullptr,
+                                 nullptr);
+        chains.emplace(na, std::move(merged));
+        if (adj != nullptr) {
+          adj->fanout[from].push_back(na);
+          adj->fanin[to].push_back(na);
+        }
+      }
+    }
+    for (ArcId a : fin) {
+      if (adj != nullptr) adj->remove(adj->fanout[g.arc(a).from], a);
+      kill(a);
+    }
+    for (ArcId a : fout) {
+      if (adj != nullptr) adj->remove(adj->fanin[g.arc(a).to], a);
+      kill(a);
+    }
+    if (adj != nullptr) {
+      adj->fanin[n].clear();
+      adj->fanout[n].clear();
+    }
+    if (delta)
+      g.delta_set_node_dead(n, true);
+    else
+      g.node(n).dead = true;
+    return Refusal::kNone;
+  }
+
+  /// Materialize every surviving chain arc in one end-to-end sampling.
+  void materialize() {
+    for (auto& [id, chain] : chains) {
+      if (g.arc(id).dead) continue;
+      materialize_chain(g, id, chain, cfg.index, cfg.aocv, delta);
+    }
+  }
+
+  /// Fold live non-launch arcs with id >= `start` that share a parallel
+  /// key into worst-case envelopes, scanning in id order. `seed`, when
+  /// given, indexes representatives below `start`; an entry counts only
+  /// while its arc is live. Returns the number of folds.
+  std::size_t fold_parallel(ArcId start, const KeyIndex* seed) {
+    KeyIndex reps;
+    std::size_t merged = 0;
+    for (ArcId a = start; a < g.num_arcs(); ++a) {
+      const GraphArc arc = g.arc(a);
+      if (arc.dead || arc.is_launch) continue;
+      const std::uint64_t key = parallel_key(arc);
+      ArcId repid = kInvalidId;
+      if (auto it = reps.find(key); it != reps.end()) {
+        repid = it->second;
+      } else if (seed != nullptr) {
+        auto seeded = seed->find(key);
+        if (seeded != seed->end() && !g.arc(seeded->second).dead)
+          repid = seeded->second;
+      }
+      if (repid == kInvalidId || repid == a) {
+        reps.emplace(key, a);
+        continue;
+      }
+      const GraphArc rep = g.arc(repid);
+      ComposedTables ct = compose_parallel(
+          g, rep, arc, g.node(arc.to).static_load_ff, cfg.index, cfg.aocv,
+          g.node(arc.from).aocv_depth);
+      const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
+      const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
+      kill(repid);
+      kill(a);
+      const ArcId na = add_arc(arc.from, arc.to, ct.sense, dt, st);
+      g.arc(na).baked_derate =
+          cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
+      reps[key] = na;
+      ++merged;
+    }
+    return merged;
+  }
+};
+
+}  // namespace
 
 bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg) {
-  if (!mergeable_static(g, n)) return false;
-  if (!g.checks_of(n).empty()) return false;
-  const auto fi = g.fanin(n).size();
-  const auto fo = g.fanout(n).size();
-  if (fi == 0 || fo == 0) return true;  // dangling: droppable
-  if (cfg.single_fanin_only && fi > 1) return false;
-  if (fi * fo > cfg.max_fan_product) return false;
-  for (ArcId a : g.fanin(n))
-    if (g.arc(a).is_launch) return false;
-  for (ArcId a : g.fanout(n))
-    if (g.arc(a).is_launch) return false;
-  return true;
+  if (!mergeable_static(g, n) || !g.checks_of(n).empty()) return false;
+  const Refusal why = refusal(g, g.fanin(n), g.fanout(n), {}, cfg);
+  return why == Refusal::kNone || why == Refusal::kSizeGrowth;
 }
 
 MergeStats merge_insensitive_pins(TimingGraph& g,
@@ -366,19 +537,9 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
                                   const MergeConfig& cfg) {
   obs::Span span("merge.insensitive_pins");
   MergeStats stats;
+  std::size_t refused_by[4] = {};  // indexed by Refusal
   LocalAdjacency adj(g);
-  // Chains backing arcs created during this merge; primitive arcs have
-  // no entry. Keyed by arc id.
-  std::unordered_map<ArcId, Chain> chains;
-
-  auto chain_of = [&](ArcId a) -> Chain {
-    auto it = chains.find(a);
-    if (it != chains.end()) return it->second;
-    const GraphArc& arc = g.arc(a);
-    return Chain{{arc, g.node(arc.to).static_load_ff,
-                  g.node(arc.from).aocv_depth}};
-  };
-
+  Merger m(g, cfg, /*delta=*/false);
   bool changed = true;
   int rounds = 0;
   while (changed && rounds++ < 10) {
@@ -386,133 +547,34 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
     for (NodeId n = 0; n < g.num_nodes(); ++n) {
       if (n < keep.size() && keep[n]) continue;
       if (!mergeable_static(g, n) || adj.has_check[n]) continue;
-      const auto& fin = adj.fanin[n];
-      const auto& fout = adj.fanout[n];
-      const bool dangling = fin.empty() || fout.empty();
-      if (!dangling) {
-        if ((cfg.single_fanin_only && fin.size() > 1) ||
-            fin.size() * fout.size() > cfg.max_fan_product) {
-          ++stats.refused;
-          continue;
-        }
-        bool launch_adjacent = false;
-        for (ArcId a : fin)
-          if (g.arc(a).is_launch) launch_adjacent = true;
-        for (ArcId a : fout)
-          if (g.arc(a).is_launch) launch_adjacent = true;
-        if (launch_adjacent) {
-          ++stats.refused;
-          continue;
-        }
-        // Removing the pin must not grow the model: compare the storage
-        // of the incident arcs against the spliced chain arcs (merging a
-        // high-fanout pin would duplicate its fanin surface per sink).
-        {
-          std::size_t before = 24;  // node record itself
-          for (ArcId a : fin)
-            before += size_model::arc_cost(g, a, chains,
-                                           cfg.index.max_points);
-          for (ArcId a : fout)
-            before +=
-                size_model::arc_cost(g, a, chains, cfg.index.max_points);
-          std::size_t after = 0;
-          for (ArcId ia : fin) {
-            for (ArcId oa : fout) {
-              Chain probe = chain_of(ia);
-              const Chain tail = chain_of(oa);
-              probe.insert(probe.end(), tail.begin(), tail.end());
-              after += size_model::chain_cost(probe, cfg.index.max_points);
-            }
-          }
-          if (after > before) {
-            ++stats.refused;
-            continue;
-          }
-        }
-        // Splice chain arcs for every (in, out) pair; tables are
-        // materialized once, after all merging settles.
-        const std::vector<ArcId> ins(fin);
-        const std::vector<ArcId> outs(fout);
-        for (ArcId ia : ins) {
-          for (ArcId oa : outs) {
-            const NodeId from = g.arc(ia).from;
-            const NodeId to = g.arc(oa).to;
-            Chain merged = chain_of(ia);
-            const Chain tail = chain_of(oa);
-            merged.insert(merged.end(), tail.begin(), tail.end());
-            const ArcId na =
-                g.add_cell_arc(from, to, chain_sense(merged), nullptr,
-                               nullptr, /*is_launch=*/false);
-            chains.emplace(na, std::move(merged));
-            adj.fanin.resize(g.num_nodes());
-            adj.fanout.resize(g.num_nodes());
-            adj.fanout[from].push_back(na);
-            adj.fanin[to].push_back(na);
-            ++stats.serial_arcs_created;
-          }
-        }
+      const std::size_t spliced = adj.fanin[n].size() * adj.fanout[n].size();
+      const Refusal why = m.merge_pin(n, adj.fanin[n], adj.fanout[n], &adj);
+      if (why != Refusal::kNone) {
+        ++refused_by[static_cast<int>(why)];
+        ++stats.refused;
+        continue;
       }
-      const std::vector<ArcId> ins(adj.fanin[n]);
-      const std::vector<ArcId> outs(adj.fanout[n]);
-      for (ArcId a : ins) {
-        adj.remove(adj.fanout[g.arc(a).from], a);
-        g.kill_arc(a);
-        chains.erase(a);
-      }
-      for (ArcId a : outs) {
-        adj.remove(adj.fanin[g.arc(a).to], a);
-        g.kill_arc(a);
-        chains.erase(a);
-      }
-      adj.fanin[n].clear();
-      adj.fanout[n].clear();
-      g.node(n).dead = true;
+      stats.serial_arcs_created += spliced;
       ++stats.pins_removed;
       changed = true;
     }
   }
+  m.materialize();
+  stats.parallel_arcs_merged = m.fold_parallel(0, nullptr);
 
-  // Materialize every surviving chain arc in one end-to-end sampling.
-  for (auto& [id, chain] : chains) {
-    if (g.arc(id).dead) continue;
-    materialize_chain(g, id, chain, cfg.index, cfg.aocv);
-  }
-
-  stats.parallel_arcs_merged = merge_parallel_arcs(g, cfg);
   g_pins_removed.add(stats.pins_removed);
   g_serial_arcs.add(stats.serial_arcs_created);
   g_parallel_arcs.add(stats.parallel_arcs_merged);
   g_refused.add(stats.refused);
+  g_refused_fan.add(refused_by[static_cast<int>(Refusal::kFanLimit)]);
+  g_refused_launch.add(refused_by[static_cast<int>(Refusal::kLaunchAdjacent)]);
+  g_refused_size.add(refused_by[static_cast<int>(Refusal::kSizeGrowth)]);
   span.set_arg("pins_removed", static_cast<double>(stats.pins_removed));
   return stats;
 }
 
 std::size_t merge_parallel_arcs(TimingGraph& g, const MergeConfig& cfg) {
-  std::unordered_map<std::uint64_t, ArcId> first_arc;
-  std::size_t merged = 0;
-  for (ArcId a = 0; a < g.num_arcs(); ++a) {
-    const GraphArc arc = g.arc(a);
-    if (arc.dead || arc.is_launch) continue;
-    const std::uint64_t key = parallel_key(arc);
-    auto [it, inserted] = first_arc.emplace(key, a);
-    if (inserted || it->second == a) continue;
-    // Fold this arc into the representative by worst-case envelope.
-    const GraphArc rep = g.arc(it->second);
-    ComposedTables ct = compose_parallel(
-        g, rep, arc, g.node(arc.to).static_load_ff, cfg.index, cfg.aocv,
-        g.node(arc.from).aocv_depth);
-    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
-    g.kill_arc(it->second);
-    g.kill_arc(a);
-    const ArcId na =
-        g.add_cell_arc(arc.from, arc.to, ct.sense, dt, st, false);
-    g.arc(na).baked_derate =
-        cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
-    it->second = na;
-    ++merged;
-  }
-  return merged;
+  return Merger(g, cfg, /*delta=*/false).fold_parallel(0, nullptr);
 }
 
 bool has_parallel_duplicate_arcs(const TimingGraph& g) {
@@ -538,15 +600,6 @@ MergeDelta::MergeDelta(TimingGraph& g) : g_(&g) {
   }
 }
 
-// The body below replays merge_insensitive_pins for a single-pin keep
-// mask step by step — same refusal rules, same splice order (and thus
-// the same arc-id allocation sequence as on a scratch copy), the same
-// unordered_map key/insertion sequence for chain materialization (hence
-// the same iteration order and id sequence for non-unate second-variant
-// arcs), and a fold-for-fold replay of the merge_parallel_arcs scan.
-// That replication is what makes the incremental TS path bit-identical
-// to the copy + full-merge path; the equivalence is enforced by the
-// randomized harness in tests/test_sta_incremental.cpp.
 bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   if (applied_)
     throw std::logic_error("MergeDelta::apply: previous delta not undone");
@@ -555,109 +608,20 @@ bool MergeDelta::apply(NodeId pin, const MergeConfig& cfg) {
   touched_.clear();
   killed_.clear();
   if (!mergeable_static(g, pin) || !g.checks_of(pin).empty()) return false;
+  // Copies: delta kills unlink arcs from the graph's cached adjacency.
   const std::vector<ArcId> fin(g.fanin(pin));
   const std::vector<ArcId> fout(g.fanout(pin));
-  const bool dangling = fin.empty() || fout.empty();
-  std::unordered_map<ArcId, Chain> chains;
-  auto chain_of = [&](ArcId a) -> Chain {
-    auto it = chains.find(a);
-    if (it != chains.end()) return it->second;
-    const GraphArc& arc = g.arc(a);
-    return Chain{{arc, g.node(arc.to).static_load_ff,
-                  g.node(arc.from).aocv_depth}};
-  };
-  if (!dangling) {
-    if ((cfg.single_fanin_only && fin.size() > 1) ||
-        fin.size() * fout.size() > cfg.max_fan_product)
-      return false;
-    for (ArcId a : fin)
-      if (g.arc(a).is_launch) return false;
-    for (ArcId a : fout)
-      if (g.arc(a).is_launch) return false;
-    std::size_t before = 24;  // node record itself
-    for (ArcId a : fin)
-      before += size_model::arc_cost(g, a, chains, cfg.index.max_points);
-    for (ArcId a : fout)
-      before += size_model::arc_cost(g, a, chains, cfg.index.max_points);
-    std::size_t after = 0;
-    for (ArcId ia : fin) {
-      for (ArcId oa : fout) {
-        Chain probe = chain_of(ia);
-        const Chain tail = chain_of(oa);
-        probe.insert(probe.end(), tail.begin(), tail.end());
-        after += size_model::chain_cost(probe, cfg.index.max_points);
-      }
-    }
-    if (after > before) return false;
-  }
-  base_arcs_ = g.num_arcs();
-  base_tables_ = g.num_owned_tables();
+  const std::size_t base_tables = g.num_owned_tables();
+  Merger m(g, cfg, /*delta=*/true);
+  if (m.merge_pin(pin, fin, fout, nullptr) != Refusal::kNone) return false;
+  m.materialize();
+  // With no duplicate keys among live pristine arcs, a full fold would
+  // only register those before reaching the appended range.
+  m.fold_parallel(static_cast<ArcId>(m.base_arcs), &pristine_keys_);
+  base_arcs_ = m.base_arcs;
+  base_tables_ = base_tables;
+  killed_ = std::move(m.killed);
   pin_ = pin;
-  if (!dangling) {
-    for (ArcId ia : fin) {
-      for (ArcId oa : fout) {
-        const NodeId from = g.arc(ia).from;
-        const NodeId to = g.arc(oa).to;
-        Chain merged = chain_of(ia);
-        const Chain tail = chain_of(oa);
-        merged.insert(merged.end(), tail.begin(), tail.end());
-        const ArcId na = g.delta_add_cell_arc(from, to, chain_sense(merged),
-                                              nullptr, nullptr,
-                                              /*is_launch=*/false);
-        chains.emplace(na, std::move(merged));
-      }
-    }
-  }
-  for (ArcId a : fin) {
-    g.delta_kill_arc(a);
-    killed_.push_back(a);
-  }
-  for (ArcId a : fout) {
-    g.delta_kill_arc(a);
-    killed_.push_back(a);
-  }
-  g.delta_set_node_dead(pin, true);
-  for (auto& [id, chain] : chains) {
-    if (g.arc(id).dead) continue;
-    materialize_chain(g, id, chain, cfg.index, cfg.aocv, /*delta=*/true);
-  }
-  // Parallel folding restricted to the appended id range: with no
-  // duplicate keys among live pristine arcs, a full merge_parallel_arcs
-  // scan would only register those, so replaying the scan over the new
-  // arcs against the pristine key index reproduces it exactly.
-  std::unordered_map<std::uint64_t, ArcId> local;
-  auto rep_for = [&](std::uint64_t key) -> ArcId {
-    auto it = local.find(key);
-    if (it != local.end()) return it->second;
-    auto pt = pristine_keys_.find(key);
-    if (pt != pristine_keys_.end() && !g.arc(pt->second).dead)
-      return pt->second;
-    return kInvalidId;
-  };
-  for (ArcId a = static_cast<ArcId>(base_arcs_); a < g.num_arcs(); ++a) {
-    const GraphArc arc = g.arc(a);
-    if (arc.dead || arc.is_launch) continue;
-    const std::uint64_t key = parallel_key(arc);
-    const ArcId repid = rep_for(key);
-    if (repid == kInvalidId || repid == a) {
-      local.emplace(key, a);
-      continue;
-    }
-    const GraphArc rep = g.arc(repid);
-    ComposedTables ct = compose_parallel(
-        g, rep, arc, g.node(arc.to).static_load_ff, cfg.index, cfg.aocv,
-        g.node(arc.from).aocv_depth);
-    const ElRf<Lut>* dt = g.own_tables(std::move(ct.delay));
-    const ElRf<Lut>* st = g.own_tables(std::move(ct.out_slew));
-    g.delta_kill_arc(repid);
-    if (repid < base_arcs_) killed_.push_back(repid);
-    g.delta_kill_arc(a);
-    const ArcId na =
-        g.delta_add_cell_arc(arc.from, arc.to, ct.sense, dt, st, false);
-    g.arc(na).baked_derate =
-        cfg.aocv.enabled || rep.baked_derate || arc.baked_derate;
-    local[key] = na;
-  }
   // Every node whose fanin or fanout arc set changed: the removed pin
   // and its former neighbors (fold reps/products share those endpoints).
   touched_.push_back(pin);

@@ -45,7 +45,9 @@ struct MergeStats {
   std::size_t refused = 0;  ///< predicted-removable pins kept for safety
 };
 
-/// True if the node may legally be merged away.
+/// True if the node may legally be merged away: not protected, and not
+/// refused for fan limit or launch adjacency. The size-growth refusal
+/// depends on the arcs a merge has spliced so far and is left to it.
 bool mergeable(const TimingGraph& g, NodeId n, const MergeConfig& cfg);
 
 /// Remove every node with keep[n] == false that is legally mergeable.
@@ -63,11 +65,11 @@ std::size_t merge_parallel_arcs(TimingGraph& g, const MergeConfig& cfg = {});
 bool has_parallel_duplicate_arcs(const TimingGraph& g);
 
 /// Single-pin merge with undo, for the what-if loop of timing-
-/// sensitivity evaluation: removes one pin in place via the graph's
-/// delta_* mutators — replicating merge_insensitive_pins({pin}) arc for
-/// arc, including refusal rules, splice order, chain materialization
-/// and parallel-duplicate folding — and restores the graph byte-
-/// equivalently afterwards, keeping the cached adjacency and
+/// sensitivity evaluation: runs the full merge's per-pin step (refusal
+/// rule, splice, chain materialization, parallel-duplicate fold) on the
+/// graph's delta_* mutators, so the result equals
+/// merge_insensitive_pins({pin}) arc for arc, and restores the graph
+/// byte-equivalently afterwards, keeping the cached adjacency and
 /// topological order valid throughout. One MergeDelta per scratch graph
 /// amortizes the pristine duplicate-key index across pins.
 ///

@@ -63,11 +63,49 @@ ElRf<Lut> read_tables(TokenReader& tr) {
   return t;
 }
 
-}  // namespace
+/// Output buffer that counts the bytes written through it and passes
+/// them on to `sink`, or drops them when `sink` is null.
+class CountingBuf : public std::streambuf {
+ public:
+  explicit CountingBuf(std::streambuf* sink) : sink_(sink) {
+    setp(buf_, buf_ + sizeof buf_);
+  }
 
-std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
+  /// Bytes written so far, after passing any buffered ones on.
+  std::size_t count() {
+    drain();
+    return count_;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!drain()) return traits_type::eof();
+    if (traits_type::eq_int_type(ch, traits_type::eof()))
+      return traits_type::not_eof(ch);
+    *pptr() = traits_type::to_char_type(ch);
+    pbump(1);
+    return ch;
+  }
+  int sync() override { return drain() ? 0 : -1; }
+
+ private:
+  bool drain() {
+    const std::streamsize n = pptr() - pbase();
+    count_ += static_cast<std::size_t>(n);
+    setp(buf_, buf_ + sizeof buf_);
+    return sink_ == nullptr || sink_->sputn(buf_, n) == n;
+  }
+
+  std::streambuf* sink_;
+  char buf_[8192];
+  std::size_t count_ = 0;
+};
+
+/// Serialize `model` to `os` (null: count only); returns the byte count.
+std::size_t write_counted(const MacroModel& model, std::ostream* os) {
   const TimingGraph& g = model.graph;
-  std::ostringstream buf;
+  CountingBuf counter(os != nullptr ? os->rdbuf() : nullptr);
+  std::ostream buf(&counter);
   buf.precision(9);
 
   // Compact live node ids.
@@ -121,14 +159,19 @@ std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
     write_tables(buf, *c.guard);
   }
 
-  const std::string s = buf.str();
-  os << s;
-  return s.size();
+  buf.flush();
+  if (os != nullptr && !buf) os->setstate(std::ios::badbit);
+  return counter.count();
+}
+
+}  // namespace
+
+std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
+  return write_counted(model, &os);
 }
 
 std::size_t macro_model_size_bytes(const MacroModel& model) {
-  std::ostringstream os;
-  return write_macro_model(model, os);
+  return write_counted(model, nullptr);
 }
 
 MacroModel read_macro_model(std::istream& is, std::string source) {

@@ -2,9 +2,46 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace tmm {
+
+TimingGraph::TimingGraph(const TimingGraph& other)
+    : nodes_(other.nodes_),
+      arcs_(other.arcs_),
+      checks_(other.checks_),
+      owned_tables_(other.owned_tables_),
+      pis_(other.pis_),
+      pos_(other.pos_),
+      clock_root_(other.clock_root_),
+      adjacency_valid_(other.adjacency_valid_),
+      fanin_(other.fanin_),
+      fanout_(other.fanout_),
+      node_checks_(other.node_checks_),
+      topo_valid_(other.topo_valid_),
+      topo_(other.topo_),
+      structure_version_(other.structure_version_) {
+  if (owned_tables_.empty()) return;
+  std::unordered_map<const ElRf<Lut>*, const ElRf<Lut>*> rebased;
+  rebased.reserve(owned_tables_.size());
+  for (std::size_t i = 0; i < owned_tables_.size(); ++i)
+    rebased.emplace(&other.owned_tables_[i], &owned_tables_[i]);
+  auto rebase = [&](const ElRf<Lut>*& t) {
+    auto it = rebased.find(t);
+    if (it != rebased.end()) t = it->second;
+  };
+  for (GraphArc& a : arcs_) {
+    rebase(a.delay);
+    rebase(a.out_slew);
+  }
+  for (CheckArc& c : checks_) rebase(c.guard);
+}
+
+TimingGraph& TimingGraph::operator=(const TimingGraph& other) {
+  if (this != &other) *this = TimingGraph(other);
+  return *this;
+}
 
 NodeId TimingGraph::add_node(GraphNode node) {
   invalidate();

@@ -82,6 +82,18 @@ struct CheckArc {
 
 class TimingGraph {
  public:
+  TimingGraph() = default;
+  /// Deep copy: owned (re-characterized) tables are copied and the
+  /// copy's arcs and checks point at its own storage, so a copy outlives
+  /// its source.
+  TimingGraph(const TimingGraph& other);
+  TimingGraph& operator=(const TimingGraph& other);
+  /// noexcept, so containers of graphs (and of their holders) move them
+  /// on growth; a moved deque keeps its elements, so table pointers
+  /// stay valid.
+  TimingGraph(TimingGraph&&) noexcept = default;
+  TimingGraph& operator=(TimingGraph&&) noexcept = default;
+
   NodeId add_node(GraphNode node);
   ArcId add_cell_arc(NodeId from, NodeId to, ArcSense sense,
                      const ElRf<Lut>* delay, const ElRf<Lut>* out_slew,

@@ -51,7 +51,9 @@ TEST_F(FlowTest, GeneratedMacroIsAccurateAndSmaller) {
   const Design d = test::make_small_design("eval", 99);
   const DesignResult r = fw.run_design(d);
   EXPECT_EQ(r.acc.structural_mismatches, 0u);
-  EXPECT_LT(r.acc.max_err_ps, 5.0);
+  // Measured 0.0057 ps; the gate leaves 17x margin for compiler and
+  // sanitizer floating-point differences.
+  EXPECT_LT(r.acc.max_err_ps, 0.1);
   EXPECT_GT(r.model_file_bytes, 0u);
   EXPECT_LT(r.gen.model_pins, r.gen.ilm_pins);
   EXPECT_GT(r.gen.pins_kept, 0u);
@@ -66,7 +68,9 @@ TEST_F(FlowTest, LabelAllRemainedModeMatchesReferenceAccuracy) {
   const Design d = test::make_small_design("eval2", 7);
   const DesignResult r = fw.run_design(d);
   EXPECT_EQ(r.acc.structural_mismatches, 0u);
-  EXPECT_LT(r.acc.max_err_ps, 5.0);
+  // Measured 0.0063 ps; the gate leaves 16x margin for compiler and
+  // sanitizer floating-point differences.
+  EXPECT_LT(r.acc.max_err_ps, 0.1);
   EXPECT_LT(r.gen.model_pins, r.gen.ilm_pins);
 }
 
@@ -146,7 +150,9 @@ TEST_F(FlowTest, CpprOffModeWorks) {
   const Design d = test::make_tiny_design("nc2", 61);
   const DesignResult r = fw.run_design(d);
   EXPECT_EQ(r.acc.structural_mismatches, 0u);
-  EXPECT_LT(r.acc.max_err_ps, 5.0);
+  // Measured 0.0046 ps; the gate leaves 21x margin for compiler and
+  // sanitizer floating-point differences.
+  EXPECT_LT(r.acc.max_err_ps, 0.1);
 }
 
 }  // namespace

@@ -12,42 +12,6 @@
 namespace tmm {
 namespace {
 
-/// in0 -> INV -> XOR(A) ; in1 -> XOR(B) ; XOR -> BUF -> out0
-Design make_nonunate_design() {
-  const Library& lib = test::shared_library();
-  Design d("nonunate", &lib);
-  const CellId inv = lib.cell_id("INV_X1");
-  const CellId xr = lib.cell_id("XOR2_X1");
-  const CellId buf = lib.cell_id("BUF_X1");
-  d.add_port("in0", TopPortDir::kPrimaryInput);
-  d.add_port("in1", TopPortDir::kPrimaryInput);
-  d.add_port("out0", TopPortDir::kPrimaryOutput);
-  const PinId in0 = d.port(0).pin;
-  const PinId in1 = d.port(1).pin;
-  const PinId out0 = d.port(2).pin;
-
-  const GateId g_inv = d.add_gate("u_inv", inv);
-  const GateId g_xor = d.add_gate("u_xor", xr);
-  const GateId g_buf = d.add_gate("u_buf", buf);
-  auto pin = [&](GateId g, const char* p) {
-    return d.gate(g).pins[lib.cell(d.gate(g).cell).port_index(p)];
-  };
-
-  const NetId n0 = d.add_net("n0", in0);
-  d.connect_sink(n0, pin(g_inv, "A"), 0.1);
-  const NetId n1 = d.add_net("n1", pin(g_inv, "Y"));
-  d.connect_sink(n1, pin(g_xor, "A"), 0.1);
-  const NetId n2 = d.add_net("n2", in1);
-  d.connect_sink(n2, pin(g_xor, "B"), 0.1);
-  const NetId n3 = d.add_net("n3", pin(g_xor, "Y"));
-  d.connect_sink(n3, pin(g_buf, "A"), 0.1);
-  const NetId n4 = d.add_net("n4", pin(g_buf, "Y"));
-  d.connect_sink(n4, out0, 0.1);
-  for (NetId n = 0; n < d.num_nets(); ++n) d.set_wire_cap(n, 0.4);
-  d.validate();
-  return d;
-}
-
 /// Boundary constraints with strongly asymmetric rise/fall values.
 BoundaryConstraints asymmetric_constraints() {
   BoundaryConstraints bc = nominal_constraints(2, 1);
@@ -67,7 +31,7 @@ BoundaryConstraints asymmetric_constraints() {
 }
 
 TEST(NonUnateMerge, SenseSplitReproducesPerTransitionTiming) {
-  const Design d = make_nonunate_design();
+  const Design d = test::make_nonunate_design();
   const TimingGraph flat = build_timing_graph(d);
   TimingGraph merged = build_timing_graph(d);
   std::vector<bool> keep(merged.num_nodes(), false);

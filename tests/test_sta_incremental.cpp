@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "macro/ilm.hpp"
@@ -68,18 +70,65 @@ void expect_graph_equal(const TimingGraph& a, const TimingGraph& b) {
   EXPECT_EQ(a.topo_order(), b.topo_order());
 }
 
-// From-scratch what-if result for removing `pin`: graph copy + full
-// merge + full propagation — the path the incremental engine must
-// reproduce bit for bit.
-BoundarySnapshot full_path_snapshot(const TimingGraph& ilm, NodeId pin,
-                                    const MergeConfig& mcfg,
-                                    const Sta::Options& opt,
-                                    const BoundaryConstraints& bc) {
+// Bitwise equality of two table sets (null only for wire arcs).
+void expect_tables_bits_equal(const ElRf<Lut>* x, const ElRf<Lut>* y,
+                              const char* what, ArcId a) {
+  ASSERT_EQ(x == nullptr, y == nullptr) << what << " of arc " << a;
+  if (x == nullptr) return;
+  auto bits = [](std::span<const double> v) {
+    std::vector<std::uint64_t> out(v.size());
+    if (!v.empty()) std::memcpy(out.data(), v.data(), v.size_bytes());
+    return out;
+  };
+  for (unsigned el = 0; el < kNumEl; ++el)
+    for (unsigned rf = 0; rf < kNumRf; ++rf) {
+      const Lut& p = (*x)(el, rf);
+      const Lut& q = (*y)(el, rf);
+      EXPECT_EQ(bits(p.slew_index()), bits(q.slew_index())) << what << a;
+      EXPECT_EQ(bits(p.load_index()), bits(q.load_index())) << what << a;
+      EXPECT_EQ(bits(p.values()), bits(q.values())) << what << a;
+    }
+}
+
+// Arc-for-arc equality of a delta-merged graph with the full merge of
+// the same pin: endpoints, sense, liveness, baked derates and every
+// table value.
+void expect_same_merge(const TimingGraph& delta, const TimingGraph& full) {
+  ASSERT_EQ(delta.num_nodes(), full.num_nodes());
+  ASSERT_EQ(delta.num_arcs(), full.num_arcs());
+  for (NodeId n = 0; n < delta.num_nodes(); ++n)
+    EXPECT_EQ(delta.node(n).dead, full.node(n).dead) << "node " << n;
+  for (ArcId i = 0; i < delta.num_arcs(); ++i) {
+    const GraphArc& x = delta.arc(i);
+    const GraphArc& y = full.arc(i);
+    EXPECT_EQ(x.from, y.from) << "arc " << i;
+    EXPECT_EQ(x.to, y.to) << "arc " << i;
+    EXPECT_EQ(x.kind, y.kind) << "arc " << i;
+    EXPECT_EQ(x.sense, y.sense) << "arc " << i;
+    EXPECT_EQ(x.dead, y.dead) << "arc " << i;
+    EXPECT_EQ(x.baked_derate, y.baked_derate) << "arc " << i;
+    expect_tables_bits_equal(x.delay, y.delay, "delay", i);
+    expect_tables_bits_equal(x.out_slew, y.out_slew, "out_slew", i);
+  }
+}
+
+// Graph copy + full merge of the single pin `pin`.
+TimingGraph full_merge_of(const TimingGraph& ilm, NodeId pin,
+                          const MergeConfig& mcfg) {
   TimingGraph scratch = ilm;
   std::vector<bool> keep(ilm.num_nodes(), true);
   keep[pin] = false;
   merge_insensitive_pins(scratch, keep, mcfg);
-  Sta sta(scratch, opt);
+  return scratch;
+}
+
+// From-scratch what-if result for removing `pin`: graph copy + full
+// merge + full propagation — the path the incremental engine must
+// reproduce bit for bit.
+BoundarySnapshot full_path_snapshot(const TimingGraph& merged,
+                                    const Sta::Options& opt,
+                                    const BoundaryConstraints& bc) {
+  Sta sta(merged, opt);
   sta.run(bc);
   return sta.boundary_snapshot();
 }
@@ -131,11 +180,12 @@ void run_equivalence(const Design& d, bool use_ilm, bool cppr, bool aocv,
     SCOPED_TRACE(testing::Message() << "pin " << pin);
     const bool removed = delta.apply(pin, mcfg);
     removed_count += removed ? 1 : 0;
+    const TimingGraph full = full_merge_of(pristine, pin, mcfg);
+    expect_same_merge(g, full);
     for (std::size_t c = 0; c < sets.size(); ++c) {
       engines[c].run_incremental(sets[c], delta.touched());
       engines[c].snapshot_into(snap);
-      expect_snapshot_bits_equal(
-          snap, full_path_snapshot(pristine, pin, mcfg, opt, sets[c]));
+      expect_snapshot_bits_equal(snap, full_path_snapshot(full, opt, sets[c]));
     }
     delta.undo();
     expect_graph_equal(g, pristine);
