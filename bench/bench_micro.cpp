@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: LUT lookup, full STA propagation (serial and
 // level-parallel), the slew-only filter propagation, GraphSAGE
-// inference, feature extraction, ILM extraction, merging and the
-// incremental TS evaluation loop.
+// inference, feature extraction, ILM extraction, merging, model-text
+// sizing and writing, and the incremental TS evaluation loop.
 //
 // Besides the google-benchmark entries, main() directly times the TS
 // loop full vs incremental (`speedup_incremental`) and serial vs
@@ -15,10 +15,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 
 #include "bench_common.hpp"
 #include "flow/framework.hpp"
 #include "liberty/library_gen.hpp"
+#include "macro/model_io.hpp"
 #include "netlist/design_gen.hpp"
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
@@ -264,6 +266,44 @@ void BM_MergeInsensitivePins(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MergeInsensitivePins)->Unit(benchmark::kMillisecond);
+
+/// The bench design's ILM with every pin merged that may be: the model
+/// BM_MergeInsensitivePins builds.
+const MacroModel& merged_model() {
+  static const MacroModel m = [] {
+    MacroModel model;
+    model.design_name = "bench";
+    model.graph = extract_ilm(flat_graph()).graph;
+    std::vector<bool> keep(model.graph.num_nodes(), false);
+    merge_insensitive_pins(model.graph, keep);
+    return model;
+  }();
+  return m;
+}
+
+void BM_MacroModelSizeBytes(benchmark::State& state) {
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    bytes = macro_model_size_bytes(merged_model());
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_MacroModelSizeBytes)->Unit(benchmark::kMillisecond);
+
+void BM_MacroModelWrite(benchmark::State& state) {
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream os;
+    bytes = write_macro_model(merged_model(), os);
+    benchmark::DoNotOptimize(bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_MacroModelWrite)->Unit(benchmark::kMillisecond);
 
 void BM_FeatureExtraction(benchmark::State& state) {
   static const IlmResult ilm = extract_ilm(flat_graph());

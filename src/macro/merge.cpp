@@ -537,7 +537,8 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
                                   const MergeConfig& cfg) {
   obs::Span span("merge.insensitive_pins");
   MergeStats stats;
-  std::size_t refused_by[4] = {};  // indexed by Refusal
+  // Each pin's reason at its latest refusal; later rounds may still merge it.
+  std::vector<Refusal> last_refusal(g.num_nodes(), Refusal::kNone);
   LocalAdjacency adj(g);
   Merger m(g, cfg, /*delta=*/false);
   bool changed = true;
@@ -550,8 +551,7 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
       const std::size_t spliced = adj.fanin[n].size() * adj.fanout[n].size();
       const Refusal why = m.merge_pin(n, adj.fanin[n], adj.fanout[n], &adj);
       if (why != Refusal::kNone) {
-        ++refused_by[static_cast<int>(why)];
-        ++stats.refused;
+        last_refusal[n] = why;
         continue;
       }
       stats.serial_arcs_created += spliced;
@@ -561,6 +561,13 @@ MergeStats merge_insensitive_pins(TimingGraph& g,
   }
   m.materialize();
   stats.parallel_arcs_merged = m.fold_parallel(0, nullptr);
+  // Count each pin the merge ended up keeping once, by its last reason.
+  std::size_t refused_by[4] = {};  // indexed by Refusal
+  for (NodeId n = 0; n < last_refusal.size(); ++n) {
+    if (last_refusal[n] == Refusal::kNone || g.node(n).dead) continue;
+    ++refused_by[static_cast<int>(last_refusal[n])];
+    ++stats.refused;
+  }
 
   g_pins_removed.add(stats.pins_removed);
   g_serial_arcs.add(stats.serial_arcs_created);

@@ -2,12 +2,12 @@
 
 #include <fstream>
 #include <istream>
-#include <ostream>
-#include <sstream>
+#include <unordered_map>
 #include <vector>
 
 #include "fault/token_reader.hpp"
 #include "util/atomic_io.hpp"
+#include "util/text_writer.hpp"
 
 namespace tmm {
 
@@ -22,14 +22,14 @@ using io::TokenReader;
 constexpr std::size_t kMaxRecords = 100'000'000;
 constexpr std::size_t kMaxLutAxis = 10'000;
 
-void write_lut(std::ostream& os, const Lut& lut) {
-  os << lut.slew_index().size() << ' ' << lut.load_index().size() << '\n';
-  for (double v : lut.slew_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.load_index()) os << v << ' ';
-  os << '\n';
-  for (double v : lut.values()) os << v << ' ';
-  os << '\n';
+void write_lut(util::TextWriter& w, const Lut& lut) {
+  w << lut.slew_index().size() << ' ' << lut.load_index().size() << '\n';
+  for (double v : lut.slew_index()) w << v << ' ';
+  w << '\n';
+  for (double v : lut.load_index()) w << v << ' ';
+  w << '\n';
+  for (double v : lut.values()) w << v << ' ';
+  w << '\n';
 }
 
 Lut read_lut(TokenReader& tr) {
@@ -51,9 +51,9 @@ Lut read_lut(TokenReader& tr) {
   }
 }
 
-void write_tables(std::ostream& os, const ElRf<Lut>& t) {
+void write_tables(util::TextWriter& w, const ElRf<Lut>& t) {
   for (unsigned el = 0; el < kNumEl; ++el)
-    for (unsigned rf = 0; rf < kNumRf; ++rf) write_lut(os, t(el, rf));
+    for (unsigned rf = 0; rf < kNumRf; ++rf) write_lut(w, t(el, rf));
 }
 
 ElRf<Lut> read_tables(TokenReader& tr) {
@@ -63,50 +63,23 @@ ElRf<Lut> read_tables(TokenReader& tr) {
   return t;
 }
 
-/// Output buffer that counts the bytes written through it and passes
-/// them on to `sink`, or drops them when `sink` is null.
-class CountingBuf : public std::streambuf {
- public:
-  explicit CountingBuf(std::streambuf* sink) : sink_(sink) {
-    setp(buf_, buf_ + sizeof buf_);
-  }
-
-  /// Bytes written so far, after passing any buffered ones on.
-  std::size_t count() {
-    drain();
-    return count_;
-  }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (!drain()) return traits_type::eof();
-    if (traits_type::eq_int_type(ch, traits_type::eof()))
-      return traits_type::not_eof(ch);
-    *pptr() = traits_type::to_char_type(ch);
-    pbump(1);
-    return ch;
-  }
-  int sync() override { return drain() ? 0 : -1; }
-
- private:
-  bool drain() {
-    const std::streamsize n = pptr() - pbase();
-    count_ += static_cast<std::size_t>(n);
-    setp(buf_, buf_ + sizeof buf_);
-    return sink_ == nullptr || sink_->sputn(buf_, n) == n;
-  }
-
-  std::streambuf* sink_;
-  char buf_[8192];
-  std::size_t count_ = 0;
-};
-
-/// Serialize `model` to `os` (null: count only); returns the byte count.
-std::size_t write_counted(const MacroModel& model, std::ostream* os) {
+/// Serialize `model` through `w`; returns the byte count. A count-only
+/// writer measures each distinct table once: arcs share library tables,
+/// and a table's text depends only on the table.
+std::size_t write_text(const MacroModel& model, util::TextWriter& w) {
   const TimingGraph& g = model.graph;
-  CountingBuf counter(os != nullptr ? os->rdbuf() : nullptr);
-  std::ostream buf(&counter);
-  buf.precision(9);
+  std::unordered_map<const ElRf<Lut>*, std::size_t> table_bytes;
+  auto tables = [&](const ElRf<Lut>* t) {
+    if (!w.counting_only()) {
+      write_tables(w, *t);
+    } else if (const auto it = table_bytes.find(t); it != table_bytes.end()) {
+      w.skip(it->second);
+    } else {
+      const std::size_t before = w.count();
+      write_tables(w, *t);
+      table_bytes.emplace(t, w.count() - before);
+    }
+  };
 
   // Compact live node ids.
   std::vector<NodeId> to_compact(g.num_nodes(), kInvalidId);
@@ -121,8 +94,8 @@ std::size_t write_counted(const MacroModel& model, std::ostream* os) {
   for (const auto& c : g.checks())
     if (!c.dead) ++live_checks;
 
-  buf << "macro " << model.design_name << ' ' << live << ' ' << live_arcs
-      << ' ' << live_checks << '\n';
+  w << "macro " << model.design_name << ' ' << live << ' ' << live_arcs
+    << ' ' << live_checks << '\n';
 
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
     const auto& node = g.node(n);
@@ -132,46 +105,46 @@ std::size_t write_counted(const MacroModel& model, std::ostream* os) {
     if (node.in_clock_network) flags |= 2u;
     if (node.is_ff_clock) flags |= 4u;
     if (node.is_ff_data) flags |= 8u;
-    buf << "node " << node.name << ' ' << static_cast<int>(node.role) << ' '
-        << node.port_ordinal << ' ' << flags << ' ' << node.static_load_ff
-        << ' ' << node.aocv_depth << ' ' << node.attached_po_loads.size();
-    for (auto po : node.attached_po_loads) buf << ' ' << po;
-    buf << '\n';
+    w << "node " << node.name << ' ' << static_cast<int>(node.role) << ' '
+      << node.port_ordinal << ' ' << flags << ' ' << node.static_load_ff
+      << ' ' << node.aocv_depth << ' ' << node.attached_po_loads.size();
+    for (auto po : node.attached_po_loads) w << ' ' << po;
+    w << '\n';
   }
 
   for (ArcId a = 0; a < g.num_arcs(); ++a) {
     const auto& arc = g.arc(a);
     if (arc.dead) continue;
-    buf << "arc " << to_compact[arc.from] << ' ' << to_compact[arc.to] << ' '
-        << static_cast<int>(arc.kind) << ' ' << static_cast<int>(arc.sense)
-        << ' ' << (arc.is_launch ? 1 : 0) << ' ' << (arc.baked_derate ? 1 : 0)
-        << ' ' << arc.wire_delay_ps << '\n';
+    w << "arc " << to_compact[arc.from] << ' ' << to_compact[arc.to] << ' '
+      << static_cast<int>(arc.kind) << ' ' << static_cast<int>(arc.sense)
+      << ' ' << (arc.is_launch ? 1 : 0) << ' ' << (arc.baked_derate ? 1 : 0)
+      << ' ' << arc.wire_delay_ps << '\n';
     if (arc.kind == GraphArcKind::kCell) {
-      write_tables(buf, *arc.delay);
-      write_tables(buf, *arc.out_slew);
+      tables(arc.delay);
+      tables(arc.out_slew);
     }
   }
 
   for (const auto& c : g.checks()) {
     if (c.dead) continue;
-    buf << "check " << to_compact[c.clock] << ' ' << to_compact[c.data] << ' '
-        << (c.is_setup ? 1 : 0) << '\n';
-    write_tables(buf, *c.guard);
+    w << "check " << to_compact[c.clock] << ' ' << to_compact[c.data] << ' '
+      << (c.is_setup ? 1 : 0) << '\n';
+    tables(c.guard);
   }
 
-  buf.flush();
-  if (os != nullptr && !buf) os->setstate(std::ios::badbit);
-  return counter.count();
+  return w.flush();
 }
 
 }  // namespace
 
 std::size_t write_macro_model(const MacroModel& model, std::ostream& os) {
-  return write_counted(model, &os);
+  util::TextWriter w(os);
+  return write_text(model, w);
 }
 
 std::size_t macro_model_size_bytes(const MacroModel& model) {
-  return write_counted(model, nullptr);
+  util::TextWriter w;
+  return write_text(model, w);
 }
 
 MacroModel read_macro_model(std::istream& is, std::string source) {
@@ -265,9 +238,10 @@ MacroModel read_macro_model_file(const std::string& path) {
 std::size_t write_macro_model_file(const MacroModel& model,
                                    const std::string& path) {
   fault::inject("macro.write");
-  std::ostringstream buf;
-  const std::size_t bytes = write_macro_model(model, buf);
-  util::atomic_write_file(path, buf.str())
+  std::string text;
+  util::TextWriter w(text);
+  const std::size_t bytes = write_text(model, w);
+  util::atomic_write_file(path, text)
       .or_throw("macro.write", model.design_name);
   return bytes;
 }

@@ -3,7 +3,9 @@
 // (every NLDM surface is embedded, whether it originated in the cell
 // library or in re-characterization), so a consumer needs no library to
 // use the model — mirroring how extracted .lib models ship. The byte
-// count of this form is the model-file-size metric of Tables 3-5.
+// count of this form is the model-file-size metric of Tables 3-5. The
+// three writers below share one formatter (util::TextWriter), so the
+// measured size is the written size; docs/FORMATS.md has the layout.
 
 #include <iosfwd>
 #include <string>

@@ -14,7 +14,15 @@ trap 'rm -rf "$DIR"' EXIT
 "$TMM" gen-design "$DIR/t1.dsn" --pins 1000 --seed 6 --name t1
 "$TMM" gen-design "$DIR/t2.dsn" --pins 1200 --seed 7 --name t2
 "$TMM" train "$DIR/m.gnn" "$DIR/t1.dsn" "$DIR/t2.dsn"
-"$TMM" generate "$DIR/m.gnn" "$DIR/block.dsn" "$DIR/block.macro"
+GEN_OUT=$("$TMM" generate "$DIR/m.gnn" "$DIR/block.dsn" "$DIR/block.macro")
+echo "$GEN_OUT"
+# The model size generate reports is the size of the file it wrote.
+GEN_BYTES=$(echo "$GEN_OUT" | sed -n 's/.*, \([0-9]*\) bytes,.*/\1/p')
+FILE_BYTES=$(stat -c %s "$DIR/block.macro")
+if [ "$GEN_BYTES" != "$FILE_BYTES" ]; then
+  echo "generate reported '$GEN_BYTES' bytes, wrote $FILE_BYTES" >&2
+  exit 1
+fi
 "$TMM" evaluate "$DIR/block.dsn" "$DIR/block.macro"
 
 # Invariant checker: every design and the generated macro model must be

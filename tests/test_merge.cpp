@@ -306,6 +306,20 @@ struct RefusalCounts {
   }
 };
 
+/// Pins a full merge may remove: live internal pins that are not clock or
+/// flip-flop pins, drive no primary-output net and end no timing check.
+std::size_t merge_candidates(const TimingGraph& g) {
+  std::size_t count = 0;
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const GraphNode& node = g.node(n);
+    if (!node.dead && node.role == NodeRole::kInternal &&
+        !node.is_ff_clock && !node.is_ff_data && !node.is_clock_root &&
+        node.attached_po_loads.empty() && g.checks_of(n).empty())
+      ++count;
+  }
+  return count;
+}
+
 TEST(Merge, RefusesHighFanProductPins) {
   const Design d = test::make_small_design("fp", 8);
   const TimingGraph flat = build_timing_graph(d);
@@ -335,10 +349,13 @@ TEST(Merge, RefusalCountersSplitByReason) {
     MergeConfig cfg;
     cfg.max_fan_product = fan_product;
     std::vector<bool> keep(ilm.graph.num_nodes(), false);
+    const std::size_t candidates = merge_candidates(ilm.graph);
     const RefusalCounts before = RefusalCounts::now();
     const MergeStats stats = merge_insensitive_pins(ilm.graph, keep, cfg);
     const RefusalCounts d = RefusalCounts::now() - before;
     EXPECT_GT(stats.refused, 0u);
+    // Each candidate is either removed or refused, and counted once.
+    EXPECT_LE(stats.refused + stats.pins_removed, candidates);
     EXPECT_EQ(d.total, stats.refused);
     EXPECT_EQ(d.fan + d.launch + d.size, stats.refused);
     // A fan-product limit of 1 refuses every multi-arc pin for fan limit.
@@ -346,6 +363,20 @@ TEST(Merge, RefusalCountersSplitByReason) {
       EXPECT_GT(d.fan, 0u);
     }
   }
+}
+
+TEST(Merge, RefusedCountsEachSurvivingCandidateOnce) {
+  // Refused pins are re-visited every merge round; the count is per pin.
+  IlmResult ilm =
+      extract_ilm(build_timing_graph(test::make_small_design("fp", 8)));
+  std::vector<bool> keep(ilm.graph.num_nodes(), false);
+  const std::size_t candidates = merge_candidates(ilm.graph);
+  const MergeStats stats = merge_insensitive_pins(ilm.graph, keep);
+  const std::size_t surviving = merge_candidates(ilm.graph);
+  EXPECT_GT(stats.pins_removed, 0u);
+  EXPECT_GT(surviving, 0u);
+  EXPECT_EQ(stats.refused, surviving);
+  EXPECT_EQ(stats.pins_removed + surviving, candidates);
 }
 
 TEST(Merge, ModelsSurviveVectorGrowthAndCopies) {
