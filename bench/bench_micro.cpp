@@ -1,13 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// substrate pieces: LUT lookup, full STA propagation (serial and
-// level-parallel), the slew-only filter propagation, GraphSAGE
+// substrate pieces: LUT lookup, full STA propagation (at one thread
+// and over the worker pool), the slew-only filter propagation, GraphSAGE
 // inference, feature extraction, ILM extraction, merging, model-text
 // sizing and writing, and the incremental TS evaluation loop.
 //
 // Besides the google-benchmark entries, main() directly times the TS
-// loop full vs incremental (`speedup_incremental`) and serial vs
-// parallel full STA on a large synthetic design (`speedup_parallel`,
-// with a bitwise serial/parallel comparison on the way) into the one
+// loop full vs incremental (`speedup_incremental`) and one-thread vs
+// N-thread full STA on a large synthetic design (`speedup_parallel`,
+// with a bitwise 1-thread/N-thread comparison on the way) into the one
 // BENCH_micro.json (CI asserts both stay >= 1 and zero mismatches).
 
 #include <benchmark/benchmark.h>
@@ -91,9 +91,11 @@ void BM_StaFullRun(benchmark::State& state) {
 }
 BENCHMARK(BM_StaFullRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Levelized parallel full run at 1/2/4/8 threads on the bench design
-// (parallel_min_nodes forced to 0 so even the Arg(1) row goes through
-// the same dispatch). Results are bit-identical to BM_StaFullRun's.
+// The one levelized full-run driver at 1/2/4/8 threads on the bench
+// design. The Arg(1) row runs every level inline on the caller, which
+// is exactly what BM_StaFullRun times; parallel_min_nodes is forced to
+// 0 so the other rows go over the worker pool. Results are
+// bit-identical across rows.
 void BM_StaParallelForward(benchmark::State& state) {
   const TimingGraph& g = flat_graph();
   Sta::Options opt;
@@ -432,11 +434,11 @@ void record_ts_speedup(bench::JsonReport& json) {
   json.set_summary("ts_bitwise_mismatches", static_cast<double>(mismatches));
 }
 
-// Serial vs level-parallel full STA on a design an order of magnitude
+// One-thread vs N-thread full STA on a design an order of magnitude
 // larger than the google-benchmark one (scale with
-// TMM_BENCH_PARALLEL_GATES). Every parallel run is compared against
-// the serial engine bit-for-bit over all live nodes before its time is
-// trusted; CI smoke-checks `speedup_parallel` (the 4-thread row) and
+// TMM_BENCH_PARALLEL_GATES). Every N-thread run is compared against
+// the one-thread engine bit-for-bit over all live nodes before its time
+// is trusted; CI smoke-checks `speedup_parallel` (the 4-thread row) and
 // `parallel_bitwise_mismatches`.
 void record_parallel_speedup(bench::JsonReport& json) {
   DesignGenConfig dcfg;
@@ -494,7 +496,7 @@ void record_parallel_speedup(bench::JsonReport& json) {
     json.add_row("parallel", label,
                  {{"sta_run_seconds", par_s}, {"speedup", speedup}});
     std::printf(
-        "Parallel STA on %zu nodes: serial %.3fs, %zu threads %.3fs -> "
+        "Parallel STA on %zu nodes: 1 thread %.3fs, %zu threads %.3fs -> "
         "%.2fx (%zu bitwise mismatches so far)\n",
         static_cast<std::size_t>(g.num_nodes()), serial_s, threads, par_s,
         speedup, mismatches);

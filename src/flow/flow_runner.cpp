@@ -7,7 +7,6 @@
 
 #include "fault/fault.hpp"
 #include "flow/checkpoint.hpp"
-#include "macro/model_io.hpp"
 #include "netlist/netlist_io.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
@@ -128,11 +127,10 @@ FlowRunReport run_flow(const std::vector<std::string>& design_paths,
       continue;
     }
     try {
-      DesignResult r = fw.run_design(d);
       DesignOutcome o;
       o.design = d.name();
       o.macro_path = macro_out_path(dir, d.name());
-      write_macro_model_file(r.model, o.macro_path);
+      const DesignResult r = fw.run_design(d, o.macro_path);
       o.record = compose_result(r);
       ckpt.save_result(d.name(), o.record);
       report.completed.push_back(std::move(o));

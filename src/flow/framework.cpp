@@ -239,27 +239,33 @@ std::vector<BoundaryConstraints> Framework::eval_sets(
 }
 
 DesignResult Framework::evaluate(const Design& design, const TimingGraph& flat,
-                                 MacroModel model, GenerationStats gen) const {
+                                 MacroModel model, GenerationStats gen,
+                                 const std::string& macro_path) const {
   DesignResult result;
   result.design = design.name();
-  result.model_file_bytes = macro_model_size_bytes(model);
-  model.file_size_bytes = result.model_file_bytes;
   const auto sets = eval_sets(design);
   Sta::Options opt;
   opt.cppr = cfg_.cppr;
   opt.aocv = cfg_.aocv;
   // Full-design reference runs dominate evaluation; macro-model runs
-  // fall under parallel_min_nodes and stay serial automatically.
+  // fall under parallel_min_nodes and stay at one thread automatically.
   opt.threads = cfg_.threads;
   result.acc = evaluate_accuracy(flat, model.graph, sets, opt);
   result.usage_peak_rss = peak_rss_bytes();
   result.model_memory_bytes = model.graph.memory_bytes();
+  // A written model is sized by its write: formatting it a second time
+  // only to count the bytes would double the text cost.
+  result.model_file_bytes = macro_path.empty()
+                                ? macro_model_size_bytes(model)
+                                : write_macro_model_file(model, macro_path);
+  model.file_size_bytes = result.model_file_bytes;
   result.gen = gen;
   result.model = std::move(model);
   return result;
 }
 
-DesignResult Framework::run_design(const Design& design) {
+DesignResult Framework::run_design(const Design& design,
+                                   const std::string& macro_path) {
   const std::string span_name = "flow.run_design:" + design.name();
   obs::Span run_span(span_name.c_str());
   obs::trace_rss_sample();
@@ -307,7 +313,8 @@ DesignResult Framework::run_design(const Design& design) {
           report.to_string());
     mark("validate");
   }
-  DesignResult result = evaluate(design, flat, std::move(model), gen);
+  DesignResult result =
+      evaluate(design, flat, std::move(model), gen, macro_path);
   result.inference_seconds = inference_seconds;
   mark("evaluate");
   result.stage_timings = std::move(stages);

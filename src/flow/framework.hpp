@@ -79,10 +79,10 @@ struct FlowConfig {
 
   /// Worker threads for the compute-heavy stages: the TS labeling loop
   /// (per-pin re-analyses fanned over workers) and the full-design STA
-  /// runs of accuracy evaluation (levelized parallel passes,
-  /// bit-identical to serial — see docs/PERFORMANCE.md). 0 = auto
-  /// (TMM_THREADS when set, else hardware concurrency), 1 = serial,
-  /// N = at most N. Plumbed from the tmm CLI's --threads flag.
+  /// runs of accuracy evaluation (levelized passes, bit-identical at
+  /// every thread count — see docs/PERFORMANCE.md). 0 = auto
+  /// (TMM_THREADS when set, else hardware concurrency), 1 = one
+  /// thread, N = at most N. Plumbed from the tmm CLI's --threads flag.
   std::size_t threads = 0;
 
   /// Observability hook: record a per-stage wall-clock breakdown into
@@ -168,8 +168,11 @@ class Framework {
                                  double* inference_seconds = nullptr);
 
   /// Stage 3 on a test design: generate the macro model and evaluate it
-  /// against the flat design.
-  DesignResult run_design(const Design& design);
+  /// against the flat design. With a non-empty `macro_path` the model
+  /// is also written there (after evaluation) and model_file_bytes is
+  /// the written byte count; otherwise the text is only counted.
+  DesignResult run_design(const Design& design,
+                          const std::string& macro_path = {});
 
   /// Baseline runs through the identical evaluation harness.
   DesignResult run_itimerm(const Design& design,
@@ -184,7 +187,8 @@ class Framework {
  private:
   std::vector<BoundaryConstraints> eval_sets(const Design& design) const;
   DesignResult evaluate(const Design& design, const TimingGraph& flat,
-                        MacroModel model, GenerationStats gen) const;
+                        MacroModel model, GenerationStats gen,
+                        const std::string& macro_path = {}) const;
 
   FlowConfig cfg_;
   std::optional<GnnModel> gnn_;

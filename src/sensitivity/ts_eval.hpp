@@ -29,7 +29,7 @@ struct TsConfig {
   /// independent; results are deterministic regardless of the count).
   /// 0 = auto: TMM_THREADS when set, else the hardware concurrency
   /// (util::TaskPool::default_threads()). Each worker's scratch STA
-  /// engine is itself serial — parallelism here is across pins.
+  /// engine runs at one thread — parallelism here is across pins.
   std::size_t threads = 1;
   /// Incremental per-pin path: one reusable scratch graph per worker
   /// (MergeDelta apply/undo) and worklist re-propagation over the dirty

@@ -26,7 +26,7 @@ constexpr bool dominates(unsigned el, double cand, double cur) {
   return el == kLate ? cand > cur : cand < cur;
 }
 
-/// Nodes per task-pool chunk in the level-parallel passes. A node's
+/// Nodes per task-pool chunk in the levelized passes. A node's
 /// relaxation is a handful of LUT lookups (~a microsecond for typical
 /// fanin), so 16 nodes amortize the chunk-claim atomic while leaving
 /// wide levels enough chunks to balance.
@@ -35,6 +35,18 @@ constexpr std::size_t kLevelGrain = 16;
 /// task so all writes stay on that pin); seeds are heavier than node
 /// relaxations when CPPR walks clock chains, so chunk fewer of them.
 constexpr std::size_t kCheckGrain = 8;
+
+/// Run fn(begin, end) over [0, n): in `grain`-sized chunks over the
+/// shared pool when par > 1, else as one inline call on the caller, so
+/// a one-thread run never touches (or starts) the pool.
+template <typename Fn>
+void for_each_chunk(std::size_t n, std::size_t grain, std::size_t par,
+                    Fn&& fn) {
+  if (par > 1)
+    util::TaskPool::shared().parallel_for(n, grain, par, fn);
+  else
+    fn(std::size_t{0}, n);
+}
 
 // Metric handles resolved once at namespace scope: the TS loop runs the
 // engine once per pin per constraint set, and the registry name lookup
@@ -130,15 +142,11 @@ void Sta::run(const BoundaryConstraints& bc) {
   if (par > 1) {
     g_parallel_runs.add();
     span.set_arg("threads", static_cast<double>(par));
-    ensure_topology();
-    forward_parallel(bc, par);
-    seed_backward_parallel(bc, par);
-    backward_parallel(par);
-  } else {
-    forward(bc);
-    seed_backward(bc);
-    backward();
   }
+  ensure_topology();
+  forward(bc, par);
+  seed_backward(bc, par);
+  backward(par);
   check_numeric();
 }
 
@@ -166,26 +174,17 @@ void Sta::check_numeric() const {
   for (NodeId u : graph_->primary_outputs()) scan(u);
 }
 
-void Sta::forward(const BoundaryConstraints& bc) {
-  for (NodeId v : graph_->topo_order()) {
-    if (graph_->node(v).dead) continue;
-    relax_forward_node(v, bc);
-  }
-}
-
-void Sta::forward_parallel(const BoundaryConstraints& bc, std::size_t par) {
+void Sta::forward(const BoundaryConstraints& bc, std::size_t par) {
   // Levels ascend: every fanin of a level-L node lives strictly below
   // L, so all values a relaxation reads are finalized before its level
   // starts. parallel_for is the between-levels barrier.
-  util::TaskPool& pool = util::TaskPool::shared();
   for (std::size_t l = 0; l < topo_.num_levels(); ++l) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    pool.parallel_for(nodes.size(), kLevelGrain, par,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i)
-                          relax_forward_node(nodes[i], bc,
-                                             topo_.fanin(nodes[i]));
-                      });
+    for_each_chunk(nodes.size(), kLevelGrain, par,
+                   [&](std::size_t b, std::size_t e) {
+                     for (std::size_t i = b; i < e; ++i)
+                       relax_forward_node(nodes[i], bc, topo_.fanin(nodes[i]));
+                   });
   }
 }
 
@@ -335,7 +334,8 @@ void Sta::apply_check_seed(const CheckArc& c, const BoundaryConstraints& bc) {
         store_.rat[idx(c.data, kLate, rf)] = cand;
       // Capture-side requirement on the clock pin: the capture edge
       // must not arrive so early that the data misses setup. Writes a
-      // *clock* pin, which is why clock_rat mode seeds serially.
+      // *clock* pin, which is why clock_rat mode seeds in check-id order
+      // on one thread.
       if (opt_.clock_rat) {
         const double d_at = store_.at[idx(c.data, kLate, rf)];
         if (std::isfinite(d_at)) {
@@ -369,24 +369,7 @@ void Sta::apply_check_seed(const CheckArc& c, const BoundaryConstraints& bc) {
   }
 }
 
-void Sta::seed_backward(const BoundaryConstraints& bc) {
-  const auto& pos = graph_->primary_outputs();
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    if (pos[i] == kInvalidId || i >= bc.po.size()) continue;
-    for (unsigned rf = 0; rf < kNumRf; ++rf) {
-      store_.rat[idx(pos[i], kLate, rf)] = bc.po[i].rat(kLate, rf);
-      store_.rat[idx(pos[i], kEarly, rf)] = bc.po[i].rat(kEarly, rf);
-    }
-  }
-
-  for (const CheckArc& c : graph_->checks()) {
-    if (c.dead) continue;
-    apply_check_seed(c, bc);
-  }
-}
-
-void Sta::seed_backward_parallel(const BoundaryConstraints& bc,
-                                 std::size_t par) {
+void Sta::seed_backward(const BoundaryConstraints& bc, std::size_t par) {
   const auto& pos = graph_->primary_outputs();
   for (std::uint32_t i = 0; i < pos.size(); ++i) {
     if (pos[i] == kInvalidId || i >= bc.po.size()) continue;
@@ -398,7 +381,7 @@ void Sta::seed_backward_parallel(const BoundaryConstraints& bc,
 
   if (opt_.clock_rat) {
     // Capture-side clock requirements write clock pins shared across
-    // checks — keep the serial check-id order.
+    // checks — keep the global check-id order.
     for (const CheckArc& c : graph_->checks()) {
       if (c.dead) continue;
       apply_check_seed(c, bc);
@@ -406,18 +389,18 @@ void Sta::seed_backward_parallel(const BoundaryConstraints& bc,
     return;
   }
   // One task per data pin: a pin's checks are applied by one thread in
-  // ascending check-id order (the serial order restricted to that pin),
-  // and a check writes only its data pin's rat/credit lanes — so the
-  // per-pin update sequences, and therefore the results, match the
-  // serial pass exactly. Reads (clock slew/at, pred chains) are
+  // ascending check-id order (TimingGraph::checks_of), and a check
+  // writes only its data pin's rat/credit lanes — so the per-pin update
+  // sequences, and therefore the results, equal the global check-id
+  // order at any thread count. Reads (clock slew/at, pred chains) are
   // finalized forward-pass state.
-  util::TaskPool::shared().parallel_for(
-      topo_.check_pins.size(), kCheckGrain, par,
-      [&](std::size_t b, std::size_t e) {
-        for (std::size_t i = b; i < e; ++i)
-          for (std::uint32_t cid : topo_.checks_of_pin(i))
-            apply_check_seed(graph_->check(cid), bc);
-      });
+  for_each_chunk(topo_.check_pins.size(), kCheckGrain, par,
+                 [&](std::size_t b, std::size_t e) {
+                   for (std::size_t i = b; i < e; ++i)
+                     for (std::uint32_t cid :
+                          graph_->checks_of(topo_.check_pins[i]))
+                       apply_check_seed(graph_->check(cid), bc);
+                 });
 }
 
 void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
@@ -465,33 +448,21 @@ void Sta::relax_backward_arcs(NodeId u, std::span<const ArcId> fanout) {
   }
 }
 
-void Sta::backward() {
-  const auto& order = graph_->topo_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId u = *it;
-    if (graph_->node(u).dead) continue;
-    if (!opt_.clock_rat && graph_->node(u).in_clock_network) continue;
-    relax_backward_arcs(u);
-  }
-}
-
-void Sta::backward_parallel(std::size_t par) {
+void Sta::backward(std::size_t par) {
   // Levels descend: a node's fanout targets live in strictly higher
   // levels, already finalized. relax_backward_arcs writes only u's own
   // rat lanes, so nodes within a level are independent.
-  util::TaskPool& pool = util::TaskPool::shared();
   for (std::size_t l = topo_.num_levels(); l-- > 0;) {
     const std::span<const NodeId> nodes = topo_.level(l);
-    pool.parallel_for(nodes.size(), kLevelGrain, par,
-                      [&](std::size_t b, std::size_t e) {
-                        for (std::size_t i = b; i < e; ++i) {
-                          const NodeId u = nodes[i];
-                          if (!opt_.clock_rat &&
-                              graph_->node(u).in_clock_network)
-                            continue;
-                          relax_backward_arcs(u, topo_.fanout(u));
-                        }
-                      });
+    for_each_chunk(nodes.size(), kLevelGrain, par,
+                   [&](std::size_t b, std::size_t e) {
+                     for (std::size_t i = b; i < e; ++i) {
+                       const NodeId u = nodes[i];
+                       if (!opt_.clock_rat && graph_->node(u).in_clock_network)
+                         continue;
+                       relax_backward_arcs(u, topo_.fanout(u));
+                     }
+                   });
   }
 }
 
@@ -843,10 +814,12 @@ std::vector<double> propagate_slew_only(const TimingGraph& graph,
           if (so > tv) tv = so;
         }
       } else {
+        // One addition per attached PO, in Sta::run's order, so the
+        // load (and every slew) matches a full run bit for bit.
         double load = graph.node(a.to).static_load_ff;
-        if (!graph.node(a.to).attached_po_loads.empty())
-          load += po_load_ff *
-                  static_cast<double>(graph.node(a.to).attached_po_loads.size());
+        for ([[maybe_unused]] std::uint32_t po :
+             graph.node(a.to).attached_po_loads)
+          load += po_load_ff;
         for (unsigned irf = 0; irf < kNumRf; ++irf) {
           const double su = slew[u * kNumRf + irf];
           if (!std::isfinite(su)) continue;

@@ -11,14 +11,17 @@
 // The same engine analyzes flat designs, ILMs and macro models, which is
 // what makes macro accuracy evaluation (Fig. 2) a pure snapshot diff.
 //
-// Timing state lives in a structure-of-arrays store (sta/timing_store.hpp)
-// and full passes can run levelized-parallel over a worker pool
-// (Options::threads, sta/topology.hpp): each topological level's nodes
-// are relaxed concurrently with a barrier between levels. Because every
-// relaxation is gather-form over finalized fanin (resp. fanout) values
-// and visits arcs in ascending arc-id order, parallel results are
-// bit-identical to the serial reference — no reduction-order tie-break
-// exists to document away (docs/PERFORMANCE.md).
+// Timing state lives in a structure-of-arrays store (sta/timing_store.hpp).
+// A full run() has one driver: the levelized passes over the cached
+// StaTopology (sta/topology.hpp), one topological level at a time with
+// a barrier between levels. At one thread each level runs inline on the
+// caller; at N threads its nodes are relaxed over the shared worker pool
+// (Options::threads). Because every relaxation is gather-form over
+// finalized fanin (resp. fanout) values and visits arcs in ascending
+// arc-id order, results do not depend on the thread count — no
+// reduction-order tie-break exists to document away
+// (docs/PERFORMANCE.md). run_incremental re-relaxes a dirty cone with
+// the same kernels from a worklist and converges to the same bits.
 
 #include <limits>
 #include <span>
@@ -89,14 +92,15 @@ class Sta {
     /// letting corruption (a poisoned LUT, a bad derate) leak into
     /// labels or macro models silently. O(ports) per run.
     bool check_numeric = true;
-    /// Threads for the full forward/backward passes of run(): 1 =
-    /// serial (default), 0 = auto (TMM_THREADS when set, else hardware
-    /// concurrency), N = at most N. Parallel runs are bit-identical to
-    /// serial ones; run_incremental is always serial (its worklist is
-    /// tiny by construction).
+    /// Threads for the levelized passes of run(): 1 = inline on the
+    /// caller, never touching the worker pool (default), 0 = auto
+    /// (TMM_THREADS when set, else hardware concurrency), N = at most
+    /// N. Results are bit-identical at every thread count;
+    /// run_incremental always runs on the caller (its worklist is tiny
+    /// by construction).
     std::size_t threads = 1;
-    /// Graphs with fewer nodes than this always run serially — pool
-    /// dispatch costs more than it buys on macro-sized graphs (the
+    /// Graphs with fewer nodes than this always run at one thread —
+    /// pool dispatch costs more than it buys on macro-sized graphs (the
     /// serve::Evaluator scratch engines rely on this fallback).
     std::size_t parallel_min_nodes = 2048;
   };
@@ -189,17 +193,16 @@ class Sta {
     std::uint8_t from_rf = 0;
   };
 
-  void forward(const BoundaryConstraints& bc);
+  /// The full-run passes: gather-form relaxations over the cached CSR
+  /// topology, level by level, with `par`-way parallelism (par == 1
+  /// runs inline on the caller; results are bit-identical either way).
+  void forward(const BoundaryConstraints& bc, std::size_t par);
+  /// PO rats, then check seeds: per data pin in check-id order, or in
+  /// global check-id order under Options::clock_rat.
+  void seed_backward(const BoundaryConstraints& bc, std::size_t par);
+  void backward(std::size_t par);
   /// Boundary NaN scan (Options::check_numeric); throws FlowError.
   void check_numeric() const;
-  void seed_backward(const BoundaryConstraints& bc);
-  void backward();
-  /// Level-parallel counterparts of forward/seed_backward/backward,
-  /// executing the same gather-form relaxations over the cached CSR
-  /// topology with `par`-way parallelism (bit-identical results).
-  void forward_parallel(const BoundaryConstraints& bc, std::size_t par);
-  void seed_backward_parallel(const BoundaryConstraints& bc, std::size_t par);
-  void backward_parallel(std::size_t par);
   /// Threads the full passes of this run() should use: Options::threads
   /// resolved against TMM_THREADS / hardware and the tiny-graph floor.
   std::size_t resolve_parallelism() const;
@@ -210,11 +213,10 @@ class Sta {
   /// its PI seed and fanin arcs (gather form). Fanin arcs are visited in
   /// ascending arc-id order, so tie-breaks do not depend on which
   /// topological order drives the sweep — the property that makes
-  /// incremental re-relaxation (and level-parallel execution)
-  /// bit-identical to a full serial run. The span overload is the one
-  /// implementation; serial and incremental callers pass the graph's
-  /// adjacency, the parallel pass passes the CSR view (same content,
-  /// same order).
+  /// incremental re-relaxation bit-identical to a full run at any
+  /// thread count. The span overload is the one implementation; the
+  /// full run passes the CSR view, run_incremental the graph's
+  /// adjacency (same content, same order).
   void relax_forward_node(NodeId v, const BoundaryConstraints& bc,
                           std::span<const ArcId> fanin);
   void relax_forward_node(NodeId v, const BoundaryConstraints& bc) {
@@ -249,7 +251,7 @@ class Sta {
   std::vector<double> eff_load_;
   std::vector<double> credits_;  ///< endpoint credits, same indexing as preds_
 
-  // CSR adjacency + level schedule for the parallel passes, cached
+  // CSR adjacency + level schedule for the full-run passes, cached
   // against the graph's structure version (see ensure_topology).
   StaTopology topo_;
   bool topo_valid_ = false;

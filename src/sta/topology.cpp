@@ -11,8 +11,8 @@ StaTopology StaTopology::build(const TimingGraph& g) {
   t.num_nodes = n;
 
   // Materializes the graph's adjacency + topological order once, up
-  // front, so nothing in the parallel passes ever triggers a lazy
-  // (mutable, unsynchronized) cache rebuild.
+  // front — check lists included — so nothing in the parallel passes
+  // ever triggers a lazy (mutable, unsynchronized) cache rebuild.
   const std::vector<NodeId>& topo = g.topo_order();
 
   // CSR adjacency: count, prefix-sum, fill. Iterating arcs in id order
@@ -42,9 +42,12 @@ StaTopology StaTopology::build(const TimingGraph& g) {
     t.fanout_arcs[fo[arc.from]++] = a;
   }
 
-  // Longest-path levels over the topological order.
+  // Longest-path levels over the topological order. A node killed by
+  // delta_set_node_dead stays in the cached order but is neither
+  // counted nor listed, so level_nodes holds exactly the live nodes.
   std::vector<std::uint32_t> level(n, 0);
   std::uint32_t max_level = 0;
+  std::size_t num_live = 0;
   for (const NodeId v : topo) {
     std::uint32_t lv = 0;
     for (const ArcId a : t.fanin(v)) {
@@ -52,14 +55,17 @@ StaTopology StaTopology::build(const TimingGraph& g) {
       lv = std::max(lv, lu + 1);
     }
     level[v] = lv;
+    if (g.node(v).dead) continue;
     max_level = std::max(max_level, lv);
+    ++num_live;
   }
-  const std::size_t num_levels = topo.empty() ? 0 : max_level + 1u;
+  const std::size_t num_levels = num_live == 0 ? 0 : max_level + 1u;
   t.level_offsets.assign(num_levels + 1, 0);
-  for (const NodeId v : topo) ++t.level_offsets[level[v] + 1];
+  for (const NodeId v : topo)
+    if (!g.node(v).dead) ++t.level_offsets[level[v] + 1];
   for (std::size_t l = 0; l < num_levels; ++l)
     t.level_offsets[l + 1] += t.level_offsets[l];
-  t.level_nodes.resize(topo.size());
+  t.level_nodes.resize(num_live);
   {
     std::vector<std::uint32_t> cursor(t.level_offsets.begin(),
                                       t.level_offsets.end() - 1);
@@ -70,28 +76,9 @@ StaTopology StaTopology::build(const TimingGraph& g) {
     }
   }
 
-  // Live checks grouped by data pin, ascending check id within a pin
-  // (check-id-order iteration over a sorted pin list preserves it).
-  std::vector<std::uint32_t> per_pin(n, 0);
-  const std::size_t num_checks = g.num_checks();
-  for (std::uint32_t c = 0; c < num_checks; ++c)
-    if (!g.check(c).dead) ++per_pin[g.check(c).data];
+  // Data pins of live checks, ascending.
   for (NodeId v = 0; v < n; ++v)
-    if (per_pin[v] > 0) t.check_pins.push_back(v);
-  t.check_offsets.assign(t.check_pins.size() + 1, 0);
-  for (std::size_t i = 0; i < t.check_pins.size(); ++i)
-    t.check_offsets[i + 1] = t.check_offsets[i] + per_pin[t.check_pins[i]];
-  t.check_ids.resize(t.check_offsets.back());
-  {
-    // Map node id -> dense check_pins slot for the fill pass.
-    std::vector<std::uint32_t> slot(n, 0);
-    for (std::size_t i = 0; i < t.check_pins.size(); ++i)
-      slot[t.check_pins[i]] = static_cast<std::uint32_t>(i);
-    std::vector<std::uint32_t> cursor(t.check_offsets.begin(),
-                                      t.check_offsets.end() - 1);
-    for (std::uint32_t c = 0; c < num_checks; ++c)
-      if (!g.check(c).dead) t.check_ids[cursor[slot[g.check(c).data]]++] = c;
-  }
+    if (!g.checks_of(v).empty()) t.check_pins.push_back(v);
   return t;
 }
 

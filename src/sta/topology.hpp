@@ -1,13 +1,14 @@
 #pragma once
-// Data-oriented view of a TimingGraph for the parallel STA passes
-// (docs/PERFORMANCE.md, "Parallel levelized propagation").
+// Data-oriented view of a TimingGraph for the levelized STA passes
+// (docs/PERFORMANCE.md, "Levelized propagation").
 //
 // StaTopology flattens the graph's per-node adjacency vectors into CSR
 // arrays (one offsets array + one contiguous arc-id array per
 // direction, ascending arc id within each node — the same visitation
-// order as TimingGraph::fanin/fanout, which is what keeps parallel
-// relaxation bit-identical to the serial sweep) and groups live nodes
-// into topological levels:
+// order as TimingGraph::fanin/fanout, which is what keeps results
+// independent of the thread count and equal to run_incremental's
+// graph-adjacency relaxations) and groups live nodes into topological
+// levels:
 //
 //   level(v) = 0                          for nodes with no live fanin
 //   level(v) = 1 + max over live arcs u->v of level(u)
@@ -19,10 +20,9 @@
 // chunking; writes are per-node so order within a level is irrelevant
 // to results).
 //
-// check_pins/check_ids group live check arcs by data pin (ascending
-// check id per pin, matching TimingGraph::checks_of) so check seeding
-// can hand each data pin's checks to one task: all writes of a pin's
-// seeds land on that pin alone.
+// check_pins lists the data pins of live check arcs so check seeding
+// can hand each pin's checks (TimingGraph::checks_of, ascending check
+// id) to one task: all writes of a pin's seeds land on that pin alone.
 //
 // The struct is a pure function of the graph structure; Sta caches one
 // instance keyed on TimingGraph::structure_version().
@@ -53,12 +53,8 @@ struct StaTopology {
   std::vector<std::uint32_t> level_offsets;  ///< num_levels + 1
   std::vector<NodeId> level_nodes;
 
-  // Live checks grouped by data pin: check_ids[check_offsets[i] ..
-  // check_offsets[i+1]) are the checks of check_pins[i], ascending
-  // check id. check_pins is ascending and duplicate-free.
+  /// Data pins of live checks, ascending and duplicate-free.
   std::vector<NodeId> check_pins;
-  std::vector<std::uint32_t> check_offsets;  ///< check_pins.size() + 1
-  std::vector<std::uint32_t> check_ids;
 
   std::size_t num_levels() const noexcept {
     return level_offsets.empty() ? 0 : level_offsets.size() - 1;
@@ -74,10 +70,6 @@ struct StaTopology {
   std::span<const ArcId> fanout(NodeId n) const noexcept {
     return {fanout_arcs.data() + fanout_offsets[n],
             fanout_arcs.data() + fanout_offsets[n + 1]};
-  }
-  std::span<const std::uint32_t> checks_of_pin(std::size_t i) const noexcept {
-    return {check_ids.data() + check_offsets[i],
-            check_ids.data() + check_offsets[i + 1]};
   }
 
   /// Build from the graph's live structure. Calls g.topo_order()

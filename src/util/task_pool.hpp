@@ -1,6 +1,6 @@
 #pragma once
 // Reusable worker pool for data-parallel loops (docs/PERFORMANCE.md,
-// "Parallel levelized propagation").
+// "Levelized propagation").
 //
 // TaskPool runs one job at a time: parallel_for(n, grain, fn) splits
 // [0, n) into fixed-size chunks, wakes the parked workers, and the

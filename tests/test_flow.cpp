@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+
 #include "flow/framework.hpp"
 #include "test_helpers.hpp"
 
@@ -72,6 +75,23 @@ TEST_F(FlowTest, LabelAllRemainedModeMatchesReferenceAccuracy) {
   // sanitizer floating-point differences.
   EXPECT_LT(r.acc.max_err_ps, 0.1);
   EXPECT_LT(r.gen.model_pins, r.gen.ilm_pins);
+}
+
+TEST_F(FlowTest, WrittenModelIsSizedByItsWrite) {
+  FlowConfig cfg = trained().config();
+  cfg.label_all_remained = true;
+  Framework fw(cfg);
+  const Design d = test::make_small_design("sized", 8);
+  const DesignResult counted = fw.run_design(d);
+  const std::string path = testing::TempDir() + "flow_sized.macro";
+  const DesignResult written = fw.run_design(d, path);
+  EXPECT_EQ(written.model_file_bytes, counted.model_file_bytes);
+  EXPECT_EQ(written.model.file_size_bytes, written.model_file_bytes);
+  EXPECT_EQ(macro_model_size_bytes(written.model), written.model_file_bytes);
+  std::ifstream file(path, std::ios::binary | std::ios::ate);
+  ASSERT_TRUE(file);
+  EXPECT_EQ(static_cast<std::size_t>(file.tellg()), written.model_file_bytes);
+  std::remove(path.c_str());
 }
 
 TEST_F(FlowTest, BaselinesRunThroughSameHarness) {

@@ -2,6 +2,8 @@
 // Shared fixtures: a process-wide generated library and small
 // hand-sized designs with known structure.
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "liberty/library_gen.hpp"
@@ -9,6 +11,18 @@
 #include "netlist/design_gen.hpp"
 
 namespace tmm::test {
+
+/// FNV-1a 64-bit hash over raw bytes; `h` chains calls, so a golden
+/// can fold several buffers into one constant.
+inline std::uint64_t fnv1a(const void* data, std::size_t n,
+                           std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
 
 /// One generated library shared by all tests (cells are immutable).
 inline const Library& shared_library() {

@@ -191,15 +191,7 @@ TEST(Merge, ModelIoRoundTripPreservesTiming) {
 // rules, splice order, chain materialization or parallel folding — in the
 // full merge or in the MergeDelta path TS labelling runs — moves these.
 
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
+using test::fnv1a;
 
 std::uint64_t model_hash(const TimingGraph& g) {
   MacroModel model;

@@ -170,7 +170,7 @@ TEST_P(DesignSweep, SlewOnlyMatchesFullStaLateSlews) {
       EXPECT_EQ(std::isfinite(full), std::isfinite(quick[n]));
       continue;
     }
-    EXPECT_NEAR(quick[n], full, 1e-9) << g.node(n).name;
+    EXPECT_EQ(quick[n], full) << g.node(n).name;
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -178,15 +179,14 @@ TEST(StaTopology, MatchesGraphAdjacencyAndLevels) {
     EXPECT_LT(level_of[g.arc(a).from], level_of[g.arc(a).to]) << "arc " << a;
   }
 
-  // Check grouping matches checks_of, per pin, in check-id order.
+  // check_pins are exactly the pins with live checks, ascending, and
+  // their checks_of lists cover every live check.
+  std::vector<NodeId> want_pins;
+  for (NodeId n = 0; n < g.num_nodes(); ++n)
+    if (!g.checks_of(n).empty()) want_pins.push_back(n);
+  EXPECT_EQ(t.check_pins, want_pins);
   std::size_t grouped = 0;
-  for (std::size_t i = 0; i < t.check_pins.size(); ++i) {
-    const auto ids = t.checks_of_pin(i);
-    const auto& want = g.checks_of(t.check_pins[i]);
-    ASSERT_EQ(ids.size(), want.size());
-    for (std::size_t k = 0; k < ids.size(); ++k) EXPECT_EQ(ids[k], want[k]);
-    grouped += ids.size();
-  }
+  for (const NodeId p : t.check_pins) grouped += g.checks_of(p).size();
   std::size_t live_checks = 0;
   for (std::uint32_t c = 0; c < g.num_checks(); ++c)
     if (!g.check(c).dead) ++live_checks;
@@ -215,7 +215,7 @@ TEST(StaTopology, StructureVersionBumpsOnMutation) {
 }
 
 // ---------------------------------------------------------------------
-// Serial vs parallel bit-identity
+// One-thread vs N-thread bit-identity
 
 AocvConfig test_aocv() {
   AocvConfig a;
@@ -240,9 +240,9 @@ void expect_snapshot_bits_equal(const BoundarySnapshot& got,
 }
 
 /// Bitwise equality of the full per-node timing state, not just the
-/// boundary: the parallel passes must reproduce the serial sweep
-/// everywhere, or downstream consumers (path recovery, TS labels)
-/// could diverge on interior pins.
+/// boundary: runs at any thread count must agree everywhere, or
+/// downstream consumers (path recovery, TS labels) could diverge on
+/// interior pins.
 void expect_all_nodes_bits_equal(const Sta& got, const Sta& want,
                                  const TimingGraph& g) {
   for (NodeId n = 0; n < g.num_nodes(); ++n) {
@@ -263,6 +263,59 @@ void expect_all_nodes_bits_equal(const Sta& got, const Sta& want,
   }
 }
 
+TEST(StaTopology, LevelsCoverLiveNodesAfterDeltas) {
+  // A delta-killed node stays in the graph's cached topological order;
+  // the level schedule must still list exactly the live nodes, or a
+  // full run relaxes some node in the wrong level (or twice at once).
+  const Design d = test::make_small_design("topo_delta", 103);
+  const TimingGraph flat = build_timing_graph(d);
+  TimingGraph g = extract_ilm(flat).graph;
+  ASSERT_FALSE(has_parallel_duplicate_arcs(g));
+  g.topo_order();  // materialize caches before the pristine copy
+  const TimingGraph pristine = g;
+  MergeConfig mcfg;
+  MergeDelta delta(g);
+  ASSERT_TRUE(delta.applicable());
+
+  Rng rng(0xb1);
+  const BoundaryConstraints bc = random_constraints(
+      g.primary_inputs().size(), g.primary_outputs().size(), {}, rng);
+  Sta::Options opt;
+  opt.parallel_min_nodes = 0;
+
+  std::size_t applied = 0;
+  for (NodeId pin = 0; pin < g.num_nodes() && applied < 4; ++pin) {
+    if (!mergeable(g, pin, mcfg) || !delta.apply(pin, mcfg)) continue;
+    ++applied;
+    SCOPED_TRACE(testing::Message() << "pin " << pin);
+
+    const StaTopology t = StaTopology::build(g);
+    std::vector<NodeId> listed(t.level_nodes.begin(), t.level_nodes.end());
+    std::sort(listed.begin(), listed.end());
+    std::vector<NodeId> live;
+    for (NodeId n = 0; n < g.num_nodes(); ++n)
+      if (!g.node(n).dead) live.push_back(n);
+    EXPECT_EQ(listed, live);
+
+    TimingGraph merged = pristine;
+    std::vector<bool> keep(pristine.num_nodes(), true);
+    keep[pin] = false;
+    merge_insensitive_pins(merged, keep, mcfg);
+    Sta want(merged, opt);
+    want.run(bc);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      opt.threads = threads;
+      Sta got(g, opt);
+      got.run(bc);
+      expect_all_nodes_bits_equal(got, want, g);
+    }
+    opt.threads = 1;
+    delta.undo();
+  }
+  EXPECT_EQ(applied, 4u);
+}
+
 void run_parallel_equivalence(const TimingGraph& g, bool cppr, bool aocv,
                               bool clock_rat, std::uint64_t seed,
                               std::size_t num_sets) {
@@ -274,13 +327,13 @@ void run_parallel_equivalence(const TimingGraph& g, bool cppr, bool aocv,
   base.clock_rat = clock_rat;
   if (aocv) base.aocv = test_aocv();
 
-  Sta serial(g, base);
+  Sta one(g, base);
   Rng rng(seed);
   for (std::size_t c = 0; c < num_sets; ++c) {
     const BoundaryConstraints bc = random_constraints(
         g.primary_inputs().size(), g.primary_outputs().size(), {}, rng);
-    serial.run(bc);
-    const BoundarySnapshot ref = serial.boundary_snapshot();
+    one.run(bc);
+    const BoundarySnapshot ref = one.boundary_snapshot();
     for (const std::size_t threads : {std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads);
@@ -289,7 +342,7 @@ void run_parallel_equivalence(const TimingGraph& g, bool cppr, bool aocv,
       popt.parallel_min_nodes = 0;  // force the parallel path
       Sta par(g, popt);
       par.run(bc);
-      expect_all_nodes_bits_equal(par, serial, g);
+      expect_all_nodes_bits_equal(par, one, g);
       expect_snapshot_bits_equal(par.boundary_snapshot(), ref);
     }
   }
@@ -357,11 +410,91 @@ TEST(StaParallel, AutoThreadsRunsParallelAboveFloor) {
   sta.run(nominal_constraints(g.primary_inputs().size(),
                               g.primary_outputs().size(), 1000.0));
   // With auto resolution >= 2 threads this counts as a parallel run;
-  // on a single-core machine it legitimately stays serial.
+  // on a single-core machine it legitimately runs at one thread.
   if (TaskPool::default_threads() > 1) {
     EXPECT_EQ(obs::counter("sta.parallel_runs").value(), before + 1);
   } else {
     EXPECT_EQ(obs::counter("sta.parallel_runs").value(), before);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Full-run goldens
+//
+// FNV-1a-64 over every node's timing, the CPPR credit at every check
+// data pin and the boundary snapshot of one full run, for fixed designs
+// and timing modes, at 1 and at 4 threads. The constants were recorded
+// before the full run became one levelized driver; any change to the
+// kernels, the relaxation order or the check seeding moves them.
+
+std::uint64_t full_run_hash(const Sta& sta, const TimingGraph& g) {
+  std::uint64_t h = test::fnv1a(nullptr, 0);
+  auto fold = [&](double v) { h = test::fnv1a(&v, sizeof v, h); };
+  auto fold_all = [&](const std::vector<double>& xs) {
+    h = test::fnv1a(xs.data(), xs.size() * sizeof(double), h);
+  };
+  for (NodeId n = 0; n < g.num_nodes(); ++n) {
+    const PinTiming t = sta.timing(n);
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf) {
+        fold(t.slew(el, rf));
+        fold(t.at(el, rf));
+        fold(t.rat(el, rf));
+      }
+  }
+  for (const CheckArc& c : g.checks()) {
+    if (c.dead) continue;
+    for (unsigned el = 0; el < kNumEl; ++el)
+      for (unsigned rf = 0; rf < kNumRf; ++rf)
+        fold(sta.endpoint_credit(c.data, el, rf));
+  }
+  const BoundarySnapshot snap = sta.boundary_snapshot();
+  fold_all(snap.slew);
+  fold_all(snap.at);
+  fold_all(snap.rat);
+  fold_all(snap.slack);
+  return h;
+}
+
+TEST(StaGolden, FullRunsMatchRecordedHashes) {
+  enum Mode { kCpprOff, kCpprOn, kAocv, kClockRat, kNumModes };
+  struct Golden {
+    std::uint64_t seed;
+    std::uint64_t hash[kNumModes];
+  };
+  const Golden goldens[] = {
+      {1,
+       {0x927cf182a0b17df1ull, 0x5e49c4e3adb37879ull, 0x48e361a5d6cfe704ull,
+        0x2d48838f4f6f52bdull}},
+      {2,
+       {0xe028afcd96edea6eull, 0x5fd931f32c6a47a1ull, 0x72d0b7e5e3522adeull,
+        0xb335e5405774c0ffull}},
+      {3,
+       {0x07460e38df524e32ull, 0xd837679da4bc278dull, 0xb4df549c438c0bbcull,
+        0x7c75a9bd4e0ac2c1ull}},
+  };
+  for (const Golden& gd : goldens) {
+    const Design d = test::make_small_design("golden", gd.seed);
+    const TimingGraph g = build_timing_graph(d);
+    Rng rng(0xa0 + gd.seed);
+    const BoundaryConstraints bc = random_constraints(
+        g.primary_inputs().size(), g.primary_outputs().size(), {}, rng);
+    for (int m = 0; m < kNumModes; ++m) {
+      Sta::Options opt;
+      opt.cppr = m != kCpprOff;
+      if (m == kAocv) opt.aocv = test_aocv();
+      opt.clock_rat = m == kClockRat;
+      opt.parallel_min_nodes = 0;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        opt.threads = threads;
+        Sta sta(g, opt);
+        sta.run(bc);
+        const std::uint64_t h = full_run_hash(sta, g);
+        EXPECT_EQ(h, gd.hash[m])
+            << "seed " << gd.seed << " mode " << m << " threads " << threads
+            << std::hex << ": 0x" << h;
+      }
+    }
   }
 }
 
@@ -389,8 +522,8 @@ TEST(StaParallel, ParallelReferenceThenIncrementalMatchesSerialFromScratch) {
   ASSERT_TRUE(delta.applicable());
 
   // The reference is produced by a *parallel* full run; incremental
-  // convergence against it must still bit-match serial from-scratch
-  // analyses of the mutated graph.
+  // convergence against it must still bit-match one-thread
+  // from-scratch analyses of the mutated graph.
   Sta engine(g, popt);
   engine.run(bc);
   engine.set_reference();
@@ -415,9 +548,9 @@ TEST(StaParallel, ParallelReferenceThenIncrementalMatchesSerialFromScratch) {
     merge_insensitive_pins(scratch, keep, mcfg);
     Sta::Options sopt = popt;
     sopt.threads = 1;
-    Sta serial(scratch, sopt);
-    serial.run(bc);
-    expect_snapshot_bits_equal(snap, serial.boundary_snapshot());
+    Sta one(scratch, sopt);
+    one.run(bc);
+    expect_snapshot_bits_equal(snap, one.boundary_snapshot());
 
     delta.undo();
     engine.run_incremental(bc, delta.touched());
@@ -452,9 +585,9 @@ TEST(StaParallel, TopologyCacheRebuildsAfterStructuralChange) {
   ASSERT_TRUE(applied);
 
   engine.run(bc);  // full parallel run on the mutated structure
-  Sta serial(g, {.cppr = popt.cppr});
-  serial.run(bc);
-  expect_all_nodes_bits_equal(engine, serial, g);
+  Sta one(g, {.cppr = popt.cppr});
+  one.run(bc);
+  expect_all_nodes_bits_equal(engine, one, g);
 }
 
 }  // namespace

@@ -549,8 +549,7 @@ int cmd_generate(const Args& args) {
   Framework fw(cfg);
   fw.set_model(load_gnn_file(args.positional[0]));
   const Design d = load_design(args.positional[1]);
-  DesignResult r = fw.run_design(d);
-  write_macro_model_file(r.model, args.positional[2]);
+  const DesignResult r = fw.run_design(d, args.positional[2]);
   std::printf("macro for %s: %zu -> %zu pins, %zu bytes, max boundary "
               "error %.4f ps (gen %.3f s)\n",
               d.name().c_str(), r.gen.ilm_pins, r.gen.model_pins,
